@@ -1,13 +1,10 @@
 # Runs the shell over a script and compares the transcript byte-for-byte
 # against a committed golden file. Invoked by ctest (see CMakeLists.txt):
-#   cmake -DSHELL=... -DDEMO=... -DGOLDEN=... -DSERVE_WORKERS=N [-DSHARDS=N] -P run_golden.cmake
+#   cmake -DSHELL=... -DDEMO=... -DGOLDEN=... -DSERVE_WORKERS=N -P run_golden.cmake
 if(SERVE_WORKERS GREATER 0)
   set(extra_args --serve ${SERVE_WORKERS})
 else()
   set(extra_args "")
-endif()
-if(SHARDS GREATER 1)
-  list(APPEND extra_args --shards ${SHARDS})
 endif()
 execute_process(
   COMMAND ${SHELL} ${extra_args}

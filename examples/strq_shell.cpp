@@ -73,10 +73,8 @@ using namespace strq;
 
 class Shell {
  public:
-  explicit Shell(int serve_workers = 0, int num_shards = 1)
-      : serve_workers_(serve_workers), num_shards_(num_shards) {
-    server_ = std::make_unique<serve::QueryServer>(Alphabet::Binary(),
-                                                   MakeServerOptions());
+  explicit Shell(int serve_workers = 0) : serve_workers_(serve_workers) {
+    server_ = std::make_unique<serve::QueryServer>(Alphabet::Binary());
     session_ = server_->OpenSession();
   }
 
@@ -355,8 +353,8 @@ class Shell {
       }
       // Atoms are alphabet-specific; a new Σ means a new server (fresh
       // AtomCache, fresh planner, empty versioned database) and a fresh
-      // session pinned to it. The shard count carries over.
-      server_ = std::make_unique<serve::QueryServer>(*a, MakeServerOptions());
+      // session pinned to it.
+      server_ = std::make_unique<serve::QueryServer>(*a);
       session_ = server_->OpenSession();
       session_->set_parallel_options(parallel_);
       session_->set_budget(budget_);
@@ -749,36 +747,9 @@ class Shell {
            flight.size(), flight.capacity(),
            static_cast<unsigned long long>(flight.total_recorded()),
            flight.armed() ? "armed" : "disarmed");
-    if (server_->sharded() != nullptr) {
-      // One row per shard, so partition skew (tuples), per-shard store
-      // residency and pinned shard snapshots are visible without a bench.
-      Printf(out, "  shards (%d, partition track %d):\n",
-             server_->sharded()->num_shards(),
-             server_->sharded()->options().partition_track);
-      std::vector<shard::ShardedDatabase::ShardStats> shard_stats =
-          server_->sharded()->stats();
-      for (size_t i = 0; i < shard_stats.size(); ++i) {
-        const shard::ShardedDatabase::ShardStats& s = shard_stats[i];
-        Printf(out,
-               "    shard %-2zu %lld tuple(s), %lld store byte(s), %lld live "
-               "pin(s), %lld commit(s), %lld reseed(s)\n",
-               i, static_cast<long long>(s.tuples),
-               static_cast<long long>(s.store_bytes),
-               static_cast<long long>(s.live_pins),
-               static_cast<long long>(s.commits),
-               static_cast<long long>(s.reseeds));
-      }
-    }
-  }
-
-  serve::ServerOptions MakeServerOptions() const {
-    serve::ServerOptions options;
-    options.num_shards = num_shards_;
-    return options;
   }
 
   int serve_workers_;
-  int num_shards_ = 1;
   std::unique_ptr<serve::QueryServer> server_;
   std::unique_ptr<serve::Session> session_;
   ParallelOptions parallel_{1};
@@ -789,30 +760,20 @@ class Shell {
 
 int main(int argc, char** argv) {
   int serve_workers = 0;
-  int num_shards = 1;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--serve" && i + 1 < argc) {
       serve_workers = std::atoi(argv[++i]);
       if (serve_workers < 1) {
-        std::fprintf(stderr,
-                     "usage: strq_shell [--serve <workers>] [--shards <n>]\n");
-        return 2;
-      }
-    } else if (arg == "--shards" && i + 1 < argc) {
-      num_shards = std::atoi(argv[++i]);
-      if (num_shards < 1) {
-        std::fprintf(stderr,
-                     "usage: strq_shell [--serve <workers>] [--shards <n>]\n");
+        std::fprintf(stderr, "usage: strq_shell [--serve <workers>]\n");
         return 2;
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: strq_shell [--serve <workers>] [--shards <n>]\n");
+      std::fprintf(stderr, "usage: strq_shell [--serve <workers>]\n");
       return 2;
     }
   }
-  Shell shell(serve_workers, num_shards);
+  Shell shell(serve_workers);
   shell.Run();
   return 0;
 }

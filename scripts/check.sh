@@ -1,18 +1,15 @@
 #!/usr/bin/env bash
-# Full local gate: tier-1 (RelWithDebInfo build + ctest) followed by the
-# same suite under ASan (`cmake --preset asan`), standalone UBSan
-# (`cmake --preset ubsan`) and TSan (`cmake --preset tsan`, for the thread
-# pool and the parallel compile/eval paths), a tier-2d TSan run of the
-# serving bench (concurrent sessions, MVCC snapshots, single-flight,
-# admission), a tier-2e incremental-maintenance gate (bench_ablation's
-# update-stream section: >=5x updates/sec over full recompile with
-# identical answers/ids/verdicts), a tier-2f lazy early-exit gate
-# (bench_lazy: >=5x fewer states created than eager materialization with
-# byte-identical answers and untouched store ids), a tier-2g sharded
-# coordinator gate (bench_shard under TSan plus a >=2x 4-shard decider
-# throughput floor with byte-identical answers/order/ids across 1/2/4/8
-# shards), then a smoke run of the
-# substrate/ablation/serving/lazy/shard benches so
+# Full local gate: tier-1 (RelWithDebInfo build + ctest) and a lint that
+# every test name is deterministic, followed by the same suite under ASan
+# (`cmake --preset asan`), standalone UBSan (`cmake --preset ubsan`) and
+# TSan (`cmake --preset tsan`, for the thread pool and the parallel
+# compile/eval paths), a tier-2d TSan run of the serving bench (concurrent
+# sessions, MVCC snapshots, single-flight, admission), a tier-2e
+# incremental-maintenance gate (bench_ablation's update-stream section: >=5x
+# updates/sec over full recompile with identical answers/ids/verdicts), a
+# tier-2f lazy early-exit gate (bench_lazy: >=5x fewer states created than
+# eager materialization with byte-identical answers and untouched store
+# ids), then a smoke run of the substrate/ablation/serving/lazy benches so
 # the strq.bench.v1 JSON contract and the store.* / plan.* / pool.* /
 # dfa.product_states_* / dfa.classes_* / dfa.table_bytes_* / serve.*
 # counters stay exercised, and finally a BENCH.json drift gate
@@ -29,6 +26,22 @@ echo "==== tier-1: RelWithDebInfo ===="
 cmake --preset default
 cmake --build --preset default -j"${JOBS}"
 ctest --preset default -j"${JOBS}"
+
+echo "==== test-name lint: deterministic test names ===="
+# gtest_discover_tests copies a value-parameterized test's printed
+# parameter into its ctest name. A parameter gtest can only print as raw
+# bytes or a pointer changes with ASLR on every run, and then no two builds
+# list the same tests. Give such parameter types a PrintTo.
+if ctest --test-dir build -N | grep -E 'byte object|0x'; then
+  echo "test names above print raw bytes or pointers" >&2
+  exit 1
+fi
+for bin in build/tests/*_test; do
+  if ! cmp -s <("${bin}" --gtest_list_tests) <("${bin}" --gtest_list_tests); then
+    echo "${bin}: two --gtest_list_tests runs differ" >&2
+    exit 1
+  fi
+done
 
 echo "==== tier-2: ASan/UBSan ===="
 cmake --preset asan
@@ -54,14 +67,13 @@ echo "==== tier-2d: TSan serving gate (bench_serving --smoke) ===="
 # budget_isolation_ok, dedup, admission) fails.
 ./build-tsan/bench/bench_serving --smoke
 
-echo "==== bench smoke: substrate + ablation + serving + lazy + shard JSON ===="
+echo "==== bench smoke: substrate + ablation + serving + lazy JSON ===="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT
 ./build/bench/bench_substrate --smoke --json="${tmpdir}/BENCH_SUB.json"
 ./build/bench/bench_ablation --smoke --json="${tmpdir}/BENCH_AB.json"
 ./build/bench/bench_serving --smoke --json="${tmpdir}/BENCH_SRV.json"
 ./build/bench/bench_lazy --smoke --json="${tmpdir}/BENCH_LZ.json"
-./build/bench/bench_shard --smoke --json="${tmpdir}/BENCH_SH.json"
 python3 - "${tmpdir}/BENCH_SRV.json" <<'EOF'
 import json, sys
 path = sys.argv[1]
@@ -184,37 +196,6 @@ print(f"  {path}: ok (witness reduction="
       f"{s['lazy.states_eager_witness']:.0f})")
 EOF
 
-echo "==== tier-2g: sharded coordinator gate (bench_shard) ===="
-# The src/shard acceptance gate, in two halves:
-#  (a) TSan smoke run — commit fan-out, coherent snapshot-vector handout,
-#      and the coordinator's per-shard compile + merge all cross the shard
-#      stacks' mutexes; the bench exits nonzero itself if any shard-count
-#      invariance scalar (answers/order/ids/safety/update agree) fails.
-#  (b) Wall-clock floor on the REGULAR build's smoke JSON: at 4 shards the
-#      decider workload must clear 2x the unsharded compile throughput
-#      (early-exit work reduction — each shard holds ~1/4 of R and the
-#      serial deciders stop at the first shard that settles the question,
-#      so the floor does not depend on core count). The floor lives here,
-#      not in BENCH.json, because wall-clock ratios are too noisy for the
-#      drift gate's bands; the agree scalars go into the baseline below.
-./build-tsan/bench/bench_shard --smoke
-python3 - "${tmpdir}/BENCH_SH.json" <<'EOF'
-import json, sys
-path = sys.argv[1]
-s = json.load(open(path))["scalars"]
-for key in ("sh.answers_agree", "sh.order_agree", "sh.ids_agree",
-            "sh.safety_agree", "sh.update_agree"):
-    assert s.get(key) == 1.0, \
-        f"{path}: {key} != 1 (sharding changed an observable!)"
-speedup = s.get("sh.compile_speedup_4x", 0)
-assert speedup >= 2.0, (
-    f"{path}: 4-shard arm only {speedup:.2f}x over unsharded "
-    f"(acceptance floor 2x)")
-print(f"  {path}: ok (speedup={speedup:.2f}x, qps 1s/4s="
-      f"{s['sh.compile_qps_1s']:.0f}/{s['sh.compile_qps_4s']:.0f}, "
-      f"update_qps_4s={s['sh.update_qps_4s']:.0f})")
-EOF
-
 echo "==== BENCH.json baseline snapshot + drift gate ===="
 # Selected scalars from both smoke runs, merged under sub./ab. prefixes into
 # a committed top-level baseline (schema strq.bench.v1) so perf-relevant
@@ -224,7 +205,7 @@ echo "==== BENCH.json baseline snapshot + drift gate ===="
 # fails the gate instead of silently rebasing.
 python3 - "${tmpdir}/BENCH_SUB.json" "${tmpdir}/BENCH_AB.json" \
     "${tmpdir}/BENCH_SRV.json" "${tmpdir}/BENCH_LZ.json" \
-    "${tmpdir}/BENCH_SH.json" "${tmpdir}/BENCH_NEW.json" <<'EOF'
+    "${tmpdir}/BENCH_NEW.json" <<'EOF'
 import json, sys
 # Only stable scalars go into the committed baseline: semantic gates
 # (*_agree, *_ok — exact bands in bench_diff.py) and slow-drifting counts.
@@ -253,15 +234,8 @@ KEEP = {
         "lazy.state_reduction_witness", "lazy.state_reduction_topk10",
         "lazy.states_lazy_witness", "lazy.contains_states",
     ],
-    # Shard-count invariance gates only; the throughput/latency scalars are
-    # machine-dependent and stay out (tier-2g asserts the speedup floor).
-    # Empty prefix: the bench already namespaces its scalars under sh.*.
-    "": [
-        "sh.answers_agree", "sh.order_agree", "sh.ids_agree",
-        "sh.safety_agree", "sh.update_agree",
-    ],
 }
-docs = [json.load(open(p)) for p in sys.argv[1:6]]
+docs = [json.load(open(p)) for p in sys.argv[1:5]]
 scalars = {}
 for doc, prefix in zip(docs, KEEP):
     for key in KEEP[prefix]:
@@ -271,16 +245,16 @@ out = {
     "schema": "strq.bench.v1",
     "id": "BASELINE",
     "title": "selected scalars from bench_substrate + bench_ablation + "
-             "bench_serving + bench_lazy + bench_shard smoke",
+             "bench_serving + bench_lazy smoke",
     "smoke": True,
     "series": [],
     "scalars": scalars,
     "metrics": {},
 }
-with open(sys.argv[6], "w") as f:
+with open(sys.argv[5], "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
     f.write("\n")
-print(f"  wrote {sys.argv[6]} ({len(scalars)} scalars)")
+print(f"  wrote {sys.argv[5]} ({len(scalars)} scalars)")
 EOF
 if [[ -f BENCH.json ]]; then
   # --allow-new: this script IS the deliberate instrumentation path — newly

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace strq {
@@ -208,6 +209,22 @@ class Parser {
     return Status::Ok();
   }
 
+  // Runs `parse` one nesting level deeper. Every recursive descent (a
+  // parenthesis, '!', a quantifier body, the right side of '->', a function
+  // argument) goes through here, so input nested past kMaxNesting is refused
+  // with a Status before it can overflow the stack.
+  template <typename Fn>
+  auto Nested(Fn parse) -> decltype(parse()) {
+    if (depth_ >= kMaxNesting) {
+      return InvalidArgumentError("formula nested deeper than " +
+                                  std::to_string(kMaxNesting));
+    }
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
+  }
+
   Result<FormulaPtr> ParseFormula() {
     // Quantifiers scope over everything to their right.
     if (Peek().kind == TokKind::kIdent &&
@@ -229,7 +246,8 @@ class Parser {
         range = QuantRange::kLenDom;
       }
       STRQ_RETURN_IF_ERROR(Expect(TokKind::kDot, "'.' after quantifier"));
-      STRQ_ASSIGN_OR_RETURN(FormulaPtr body, ParseFormula());
+      STRQ_ASSIGN_OR_RETURN(FormulaPtr body,
+                            Nested([this] { return ParseFormula(); }));
       return is_exists ? FExists(var, std::move(body), range)
                        : FForall(var, std::move(body), range);
     }
@@ -255,7 +273,8 @@ class Parser {
   Result<FormulaPtr> ParseImplies() {
     STRQ_ASSIGN_OR_RETURN(FormulaPtr left, ParseOr());
     if (Accept(TokKind::kImplies)) {
-      STRQ_ASSIGN_OR_RETURN(FormulaPtr right, ParseImplies());  // right assoc
+      STRQ_ASSIGN_OR_RETURN(FormulaPtr right,  // right assoc
+                            Nested([this] { return ParseImplies(); }));
       return FImplies(std::move(left), std::move(right));
     }
     return left;
@@ -281,7 +300,8 @@ class Parser {
 
   Result<FormulaPtr> ParseUnary() {
     if (Accept(TokKind::kNot)) {
-      STRQ_ASSIGN_OR_RETURN(FormulaPtr f, ParseUnary());
+      STRQ_ASSIGN_OR_RETURN(FormulaPtr f,
+                            Nested([this] { return ParseUnary(); }));
       return FNot(std::move(f));
     }
     if (Peek().kind == TokKind::kIdent &&
@@ -291,7 +311,8 @@ class Parser {
     if (AcceptIdent("true")) return FTrue();
     if (AcceptIdent("false")) return FFalse();
     if (Accept(TokKind::kLParen)) {
-      STRQ_ASSIGN_OR_RETURN(FormulaPtr f, ParseFormula());
+      STRQ_ASSIGN_OR_RETURN(FormulaPtr f,
+                            Nested([this] { return ParseFormula(); }));
       STRQ_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
       return f;
     }
@@ -373,7 +394,8 @@ class Parser {
     std::vector<TermPtr> args;
     if (Accept(TokKind::kRParen)) return args;
     while (true) {
-      STRQ_ASSIGN_OR_RETURN(TermPtr t, ParseTermExpr());
+      STRQ_ASSIGN_OR_RETURN(TermPtr t,
+                            Nested([this] { return ParseTermExpr(); }));
       args.push_back(std::move(t));
       if (Accept(TokKind::kRParen)) break;
       STRQ_RETURN_IF_ERROR(Expect(TokKind::kComma, "','"));
@@ -493,8 +515,11 @@ class Parser {
     return TVar(Take().text);
   }
 
+  static constexpr int kMaxNesting = 1000;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -28,6 +28,9 @@ namespace strq {
 //
 // Infix '=' is equality, '<=' the prefix order ≼, '<' the strict prefix ≺.
 // Any other IDENT followed by '(' is a database relation atom.
+//
+// Nesting (parentheses, '!', quantifier bodies, '->' chains, function
+// arguments) deeper than 1000 levels is INVALID_ARGUMENT.
 Result<FormulaPtr> ParseFormula(const std::string& input);
 
 // Parses a single term (mostly for tests and tools).

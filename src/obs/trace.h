@@ -179,19 +179,6 @@ inline constexpr char kIncrAnswerPatches[] = "incr.answer_patches";
 // MVCC snapshot surface: cache entries reclaimed when a snapshot's last pin
 // died (same event as serve.snapshots_reclaimed, counted in entries).
 inline constexpr char kSnapshotReclaimed[] = "snapshot.reclaimed";
-// Sharded-coordinator counters (src/shard): queries routed through the
-// per-shard compile + regular-language merge, queries a sharded server fell
-// back to the merge stack for (formula not ∪-distributable over a horizontal
-// partition), shards a decider never examined because an earlier shard
-// already fixed the verdict (sentence true / answer infinite), per-shard
-// answers folded into the merge store's interned Union, tuple commits fanned
-// to owning shards, and full re-partitions forced by opaque commits.
-inline constexpr char kShardQueries[] = "shard.queries";
-inline constexpr char kShardFallbacks[] = "shard.fallbacks";
-inline constexpr char kShardEarlyExits[] = "shard.early_exits";
-inline constexpr char kShardMergeUnions[] = "shard.merge_unions";
-inline constexpr char kShardCommitsFanned[] = "shard.commits_fanned";
-inline constexpr char kShardReseeds[] = "shard.reseeds";
 
 // Histogram names: per-query end-to-end latency (all three engines record
 // it) and the per-phase costs ExplainAnalyze separates.
@@ -214,10 +201,6 @@ inline constexpr char kHistLazyFirstAnswerNs[] = "lazy.first_answer_ns";
 // from serve.latency_ns (which stays end-to-end: queue wait + service).
 // Subtracting the two separates admission effects from evaluation cost.
 inline constexpr char kHistServeQueueWaitNs[] = "serve.queue_wait_ns";
-// Wall time of the coordinator's merge step alone: adopting per-shard
-// answers into the merge store and folding them with interned Union — the
-// overhead sharding adds on top of the per-shard compiles.
-inline constexpr char kHistShardMergeNs[] = "shard.merge_ns";
 
 // Process-wide registry of named monotonic counters plus log-bucketed
 // latency histograms. Cheap to read, guarded by a mutex on writes; writes

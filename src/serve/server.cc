@@ -38,23 +38,12 @@ void QueryServer::InstallCommitHook() {
     incr_ = std::make_shared<incr::IncrementalIndex>(
         &db_, cache_, planner_, options_.incremental);
   }
-  if (options_.num_shards > 1) {
-    shard::ShardOptions so;
-    so.num_shards = options_.num_shards;
-    so.partition_track = options_.shard_partition_track;
-    so.enable_incremental = options_.enable_incremental;
-    so.incremental = options_.incremental;
-    so.planner = options_.planner;
-    shards_ = std::make_unique<shard::ShardedDatabase>(&db_, so);
-    coordinator_ = std::make_unique<shard::Coordinator>(cache_, planner_);
-  }
   // Every commit (whatever API produced it) publishes its delta to the
-  // subscribed index, fans it to the owning shards, and reclaims cache
-  // entries for snapshots the commit just orphaned. The hook runs under the
-  // writer lock, so both consumers see commits in revision order.
+  // subscribed index and reclaims cache entries for snapshots the commit
+  // just orphaned. The hook runs under the writer lock, so the index sees
+  // commits in revision order.
   db_.SetCommitHook([this](const CommitDelta& delta) {
     if (incr_ != nullptr) incr_->OnCommit(delta);
-    if (shards_ != nullptr) shards_->OnMergeCommit(delta);
     ReclaimDeadSnapshots();
   });
 }
@@ -116,8 +105,7 @@ Result<QueryServer::Ticket> QueryServer::Admit(const RequestBudget& budget) {
 }
 
 Result<TrackAutomaton> QueryServer::CompileShared(Session& session,
-                                                  const FormulaPtr& f,
-                                                  bool allow_shard_route) {
+                                                  const FormulaPtr& f) {
   AutomataEvaluator& eval = *session.eval_;
   const Database* db = &session.snapshot_.db();
   // The plan-cache key already mixes the database revision, so structurally
@@ -126,19 +114,11 @@ Result<TrackAutomaton> QueryServer::CompileShared(Session& session,
   auto outcome = inflight_.Do(key, [&] {
     CompiledEntry entry;
     entry.formula = f;
-    if (allow_shard_route && session.ShardRoutable(f)) {
-      // Sharded: compile on every shard and fold with the merge store's
-      // interned Union. Canonical minimization makes the result the same
-      // automaton — same merge-store id — the merge stack would compile.
-      entry.result = coordinator_->CompileMerged(
-          f, session.shard_eval_ptrs_, db, session.parallel_);
-    } else {
-      // Merge stack: the leader routes through the incremental index — the
-      // answer is patched forward from the last maintained revision when
-      // the delta window allows, recompiled (over patched tries) otherwise.
-      entry.result = incr_ != nullptr ? incr_->CompileAnswer(eval, f, *db)
-                                      : eval.Compile(f);
-    }
+    // The leader routes through the incremental index: the answer is
+    // patched forward from the last maintained revision when the delta
+    // window allows, recompiled (over patched tries) otherwise.
+    entry.result = incr_ != nullptr ? incr_->CompileAnswer(eval, f, *db)
+                                    : eval.Compile(f);
     return entry;
   });
   if (outcome.leader) return outcome.value->result;
@@ -192,49 +172,18 @@ Session::Session(QueryServer* server) : server_(server) {
 }
 
 void Session::Refresh() {
-  shard_snaps_.clear();
-  shard_evals_.clear();
-  shard_eval_ptrs_.clear();
-  if (server_->shards_ != nullptr) {
-    // Pin a coherent cross-shard vector: the merge snapshot of the last
-    // completed fan-out plus one snapshot per shard at that same point.
-    shard::ShardedDatabase::SnapshotVector v = server_->shards_->Snapshots();
-    snapshot_ = std::move(v.merge);
-    shard_snaps_ = std::move(v.shards);
-  } else {
-    snapshot_ = server_->versioned_db().Snapshot();
-  }
+  snapshot_ = server_->versioned_db().Snapshot();
   eval_ = std::make_unique<AutomataEvaluator>(
       &snapshot_.db(), server_->atom_cache(), server_->planner());
   eval_->set_parallel_options(parallel_);
   // Relation/adom/prefix automata come from the incremental index (which
   // patches across revisions) when the server maintains one.
   eval_->set_trie_provider(server_->incremental());
-  for (size_t i = 0; i < shard_snaps_.size(); ++i) {
-    const shard::ShardedDatabase::Stack& stack =
-        server_->shards_->stack(static_cast<int>(i));
-    auto shard_eval = std::make_unique<AutomataEvaluator>(
-        &shard_snaps_[i].db(), stack.cache, stack.planner);
-    shard_eval->set_parallel_options(parallel_);
-    shard_eval->set_trie_provider(stack.incr);
-    shard_eval_ptrs_.push_back(shard_eval.get());
-    shard_evals_.push_back(std::move(shard_eval));
-  }
 }
 
 void Session::set_parallel_options(ParallelOptions options) {
   parallel_ = options;
   eval_->set_parallel_options(options);
-  for (auto& shard_eval : shard_evals_) {
-    shard_eval->set_parallel_options(options);
-  }
-}
-
-bool Session::ShardRoutable(const FormulaPtr& f) const {
-  if (shard_evals_.empty()) return false;
-  if (shard::Coordinator::Distributable(f)) return true;
-  obs::Count(obs::kShardFallbacks);
-  return false;
 }
 
 RequestBudget Session::MakeBudget() const {
@@ -299,16 +248,7 @@ Result<bool> Session::QuerySentence(const FormulaPtr& f) {
     if (!FreeVars(f).empty()) {
       return InvalidArgumentError("sentence expected, found free variables");
     }
-    // Sharded: the truth of a sentence over the union is the OR of the
-    // per-shard truths, so the coordinator stops at the first true shard
-    // instead of materializing (and deduping) the merged answer.
-    if (ShardRoutable(f)) {
-      return server_->coordinator_->MergedTruth(f, shard_eval_ptrs_,
-                                                parallel_);
-    }
-    STRQ_ASSIGN_OR_RETURN(
-        TrackAutomaton rel,
-        server_->CompileShared(*this, f, /*allow_shard_route=*/false));
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, server_->CompileShared(*this, f));
     return rel.TruthValue();
   });
 }
@@ -340,15 +280,7 @@ Result<std::vector<std::vector<std::string>>> Session::TopK(
 
 Result<bool> Session::IsSafe(const FormulaPtr& f) {
   return Serve([&]() -> Result<bool> {
-    // Sharded: the union is finite iff every shard's answer is, so the
-    // coordinator stops at the first infinite shard.
-    if (ShardRoutable(f)) {
-      return server_->coordinator_->MergedIsFinite(f, shard_eval_ptrs_,
-                                                   parallel_);
-    }
-    STRQ_ASSIGN_OR_RETURN(
-        TrackAutomaton rel,
-        server_->CompileShared(*this, f, /*allow_shard_route=*/false));
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, server_->CompileShared(*this, f));
     return rel.IsFinite();
   });
 }

@@ -21,8 +21,6 @@
 #include "plan/planner.h"
 #include "relational/snapshot.h"
 #include "serve/inflight.h"
-#include "shard/coordinator.h"
-#include "shard/sharded_db.h"
 
 namespace strq {
 namespace serve {
@@ -59,16 +57,6 @@ struct ServerOptions {
   // recompile-everything baseline (bench_ablation's update-stream rows).
   bool enable_incremental = true;
   incr::Options incremental;
-  // Horizontal partitioning (src/shard): values >= 2 hash-partition every
-  // relation across that many in-process shards, each with its own
-  // store/cache/planner/incremental stack. Distributable queries compile
-  // per-shard and merge through the interned Union; everything else — and
-  // every query when num_shards <= 1 — runs on the merge stack exactly as
-  // today. Answers, enumeration order and canonical merge-store ids are
-  // shard-count-invariant.
-  int num_shards = 1;
-  // Track hashed to place a tuple (see shard::ShardOptions).
-  int shard_partition_track = 0;
 };
 
 // Per-session request budget template. Each request materializes it into a
@@ -130,11 +118,6 @@ class QueryServer {
   const std::shared_ptr<incr::IncrementalIndex>& incremental() const {
     return incr_;
   }
-
-  // The hash partition behind this server, or null when num_shards <= 1.
-  // Commits made through CommitDeltas/versioned_db() fan to the owning
-  // shards automatically (the commit hook routes them).
-  const shard::ShardedDatabase* sharded() const { return shards_.get(); }
 
   // Applies a batch of tuple writes as ONE commit (one revision edge) and
   // publishes the delta to the subscribed index; dead-snapshot cache
@@ -200,13 +183,9 @@ class QueryServer {
   Result<Ticket> Admit(const RequestBudget& budget);
 
   // Compile `f` for `session`, collapsing structurally identical in-flight
-  // compilations across sessions (keyed on the merge snapshot's revision).
-  // The single-flight leader routes distributable queries through the
-  // coordinator when the server is sharded (`allow_shard_route`; the
-  // decider paths pass false after routing themselves), the merge stack
-  // otherwise — the compiled automaton is identical either way.
-  Result<TrackAutomaton> CompileShared(Session& session, const FormulaPtr& f,
-                                       bool allow_shard_route = true);
+  // compilations across sessions (keyed on the session snapshot's
+  // revision).
+  Result<TrackAutomaton> CompileShared(Session& session, const FormulaPtr& f);
 
   struct CompiledEntry {
     FormulaPtr formula;  // collision guard for the hashed key
@@ -218,8 +197,6 @@ class QueryServer {
   std::shared_ptr<AtomCache> cache_;
   std::shared_ptr<plan::Planner> planner_;
   std::shared_ptr<incr::IncrementalIndex> incr_;
-  std::unique_ptr<shard::ShardedDatabase> shards_;
-  std::unique_ptr<shard::Coordinator> coordinator_;
 
   SingleFlight<uint64_t, CompiledEntry> inflight_;
 
@@ -245,19 +222,9 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // The pinned view this session reads. Stable across writer commits. On a
-  // sharded server this is the merge snapshot of a COHERENT cross-shard
-  // vector: the per-shard snapshots pinned alongside it (shard_snapshots())
-  // correspond to exactly this merge revision, so routed and fallback
-  // evaluation read the same world.
+  // The pinned view this session reads. Stable across writer commits.
   const DbSnapshot& snapshot() const { return snapshot_; }
   int64_t revision() const { return snapshot_.revision(); }
-
-  // The per-shard snapshots pinned with snapshot(); empty when the server
-  // is unsharded.
-  const std::vector<DbSnapshot>& shard_snapshots() const {
-    return shard_snaps_;
-  }
 
   // Re-pins at the current head revision (read-your-writes after a commit
   // made through versioned_db()).
@@ -318,19 +285,9 @@ class Session {
   template <typename Fn>
   auto Serve(Fn&& body) -> decltype(body());
 
-  // Should this request compile per-shard and merge? True iff the server is
-  // sharded and the formula is ∪-distributable; counts shard.fallbacks for
-  // the sharded-but-not-distributable case.
-  bool ShardRoutable(const FormulaPtr& f) const;
-
   QueryServer* server_;
   DbSnapshot snapshot_;
   std::unique_ptr<AutomataEvaluator> eval_;
-  // Per-shard evaluators bound to shard_snaps_ (sharded servers only),
-  // rebuilt on Refresh() together with eval_.
-  std::vector<DbSnapshot> shard_snaps_;
-  std::vector<std::unique_ptr<AutomataEvaluator>> shard_evals_;
-  std::vector<AutomataEvaluator*> shard_eval_ptrs_;
   SessionBudget budget_;
   ParallelOptions parallel_{1};
 };

@@ -140,6 +140,14 @@ struct RegexCase {
   bool expected;
 };
 
+// gtest prints a parameter without a PrintTo as its raw bytes, pointers
+// included; gtest_discover_tests copies that text into the ctest name, so
+// the name would change with every run.
+void PrintTo(const RegexCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << (c.expected ? "\" matches \"" : "\" rejects \"")
+      << c.text << '"';
+}
+
 class RegexBatteryTest : public ::testing::TestWithParam<RegexCase> {};
 
 TEST_P(RegexBatteryTest, Matches) {

@@ -129,6 +129,30 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseFormula("").ok());
 }
 
+TEST(ParserTest, NestingLimitRefusesDeepInput) {
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const std::vector<std::string> deep = {
+      repeat("(", 10000) + "R(x)" + repeat(")", 10000),
+      repeat("!", 10000) + "R(x)",
+      repeat("exists y. ", 10000) + "R(x)",
+      repeat("R(x) -> ", 10000) + "R(x)",
+      "R(" + repeat("append[1](", 10000) + "x" + repeat(")", 10001),
+  };
+  for (const std::string& input : deep) {
+    Result<FormulaPtr> r = ParseFormula(input);
+    ASSERT_FALSE(r.ok()) << input.substr(0, 20);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), "formula nested deeper than 1000");
+  }
+  EXPECT_TRUE(
+      ParseFormula(repeat("(", 200) + "R(x)" + repeat(")", 200)).ok());
+  EXPECT_TRUE(ParseFormula(repeat("!", 200) + "R(x)").ok());
+}
+
 TEST(ParserTest, ParseTermStandalone) {
   Result<TermPtr> t = ParseTerm("lcp(append[a](x), 'ab')");
   ASSERT_TRUE(t.ok());

@@ -70,6 +70,13 @@ struct CQSafetyCase {
   bool safe;
 };
 
+// gtest prints a parameter without a PrintTo as its raw bytes, pointers
+// included; gtest_discover_tests copies that text into the ctest name, so
+// the name would change with every run.
+void PrintTo(const CQSafetyCase& c, std::ostream* os) {
+  *os << '"' << c.query << (c.safe ? "\" safe" : "\" unsafe");
+}
+
 class CQSafetyTest : public ::testing::TestWithParam<CQSafetyCase> {};
 
 TEST_P(CQSafetyTest, DecidesSafety) {

@@ -95,8 +95,19 @@ TEST(RangeRestrictionTest, ConcatHasNoGamma) {
 
 // Theorem 3: on safe queries, the range-restricted query coincides with the
 // exact answer.
-class Theorem3Test
-    : public ::testing::TestWithParam<std::pair<const char*, StructureId>> {};
+struct Theorem3Case {
+  const char* query;
+  StructureId structure;
+};
+
+// gtest prints a parameter without a PrintTo as its raw bytes, pointers
+// included; gtest_discover_tests copies that text into the ctest name, so
+// the name would change with every run.
+void PrintTo(const Theorem3Case& c, std::ostream* os) {
+  *os << '"' << c.query << "\" over " << StructureName(c.structure);
+}
+
+class Theorem3Test : public ::testing::TestWithParam<Theorem3Case> {};
 
 TEST_P(Theorem3Test, RangeRestrictionCoincidesOnSafeQueries) {
   Database db = BinaryDb();
@@ -115,20 +126,19 @@ TEST_P(Theorem3Test, RangeRestrictionCoincidesOnSafeQueries) {
 INSTANTIATE_TEST_SUITE_P(
     Battery, Theorem3Test,
     ::testing::Values(
-        std::make_pair("exists y. R(y) & x <= y", StructureId::kS),
-        std::make_pair("R(x) & last[1](x)", StructureId::kS),
-        std::make_pair("exists y. R(y) & step(y, x)", StructureId::kS),
-        std::make_pair("exists y. R(y) & append[1](y) = x", StructureId::kS),
-        std::make_pair("exists y. R(y) & lcp(x, y) = x", StructureId::kS),
-        std::make_pair("exists y. R(y) & prepend[1](y) = x",
-                       StructureId::kSLeft),
-        std::make_pair("exists y. R(y) & trim[1](y) = x",
-                       StructureId::kSLeft),
-        std::make_pair("exists y. R(y) & suffixin(x, y, '(11)*')",
-                       StructureId::kSReg),
-        std::make_pair("exists y. R(y) & eqlen(x, y)", StructureId::kSLen),
-        std::make_pair("exists y. R(y) & leqlen(x, y) & member(x, '(01)*')",
-                       StructureId::kSLen)));
+        Theorem3Case{"exists y. R(y) & x <= y", StructureId::kS},
+        Theorem3Case{"R(x) & last[1](x)", StructureId::kS},
+        Theorem3Case{"exists y. R(y) & step(y, x)", StructureId::kS},
+        Theorem3Case{"exists y. R(y) & append[1](y) = x", StructureId::kS},
+        Theorem3Case{"exists y. R(y) & lcp(x, y) = x", StructureId::kS},
+        Theorem3Case{"exists y. R(y) & prepend[1](y) = x",
+                     StructureId::kSLeft},
+        Theorem3Case{"exists y. R(y) & trim[1](y) = x", StructureId::kSLeft},
+        Theorem3Case{"exists y. R(y) & suffixin(x, y, '(11)*')",
+                     StructureId::kSReg},
+        Theorem3Case{"exists y. R(y) & eqlen(x, y)", StructureId::kSLen},
+        Theorem3Case{"exists y. R(y) & leqlen(x, y) & member(x, '(01)*')",
+                     StructureId::kSLen}));
 
 TEST(RangeRestrictionTest, UnsafeQueryReportedUnsafe) {
   Database db = BinaryDb();

@@ -103,6 +103,14 @@ struct TranslationCase {
   int k;  // reach; -1 = EffectiveK
 };
 
+// gtest prints a parameter without a PrintTo as its raw bytes, pointers
+// included; gtest_discover_tests copies that text into the ctest name, so
+// the name would change with every run.
+void PrintTo(const TranslationCase& c, std::ostream* os) {
+  *os << '"' << c.query << "\" over " << StructureName(c.structure)
+      << " k=" << c.k;
+}
+
 class TheoremT4T8Test : public ::testing::TestWithParam<TranslationCase> {};
 
 TEST_P(TheoremT4T8Test, TranslationMatchesCalculus) {

@@ -1,11 +1,14 @@
-// Shard-count invariance differential fuzz: random formulas served through
-// QueryServers at 1/2/4/8 shards over the same initial database must agree
-// on answers, EnumerateTuples order, IsSafe verdicts, sentence truth, and
-// the canonical merge-store id of the compiled answer. Every arm's merge
-// stack interns into the process-wide default AutomatonStore, so equal
-// languages MUST yield equal dfa_ref().id() — byte-identity, not just
-// set-equality. A second battery streams identical tuple deltas through
-// CommitDeltas on every arm and re-verifies after each Refresh.
+// Partition-invariance differential fuzz: the same database served whole,
+// or sharded into 2/4/8 disjoint parts that arrive one after another as
+// CommitDeltas batches on an initially empty server, must agree on answers,
+// EnumerateTuples order, IsSafe verdicts, sentence truth, and the canonical
+// store id of the compiled answer. Every arm interns into the process-wide
+// default AutomatonStore, so equal languages MUST yield equal
+// dfa_ref().id() — byte-identity, not just set-equality. The loaded arms
+// exercise the commit hook, the incremental index and the cache
+// invalidation against the bulk-loaded arm. A second battery streams
+// identical tuple deltas through CommitDeltas on every arm and re-verifies
+// after each Refresh.
 
 #include <gtest/gtest.h>
 
@@ -18,17 +21,17 @@
 #include "logic/ast.h"
 #include "relational/snapshot.h"
 #include "serve/server.h"
-#include "shard/coordinator.h"
 
 namespace strq {
 namespace {
 
+// Number of parts each arm's initial database is sharded into; arm 0 loads
+// the whole database at construction and never commits it.
 constexpr int kShardCounts[] = {1, 2, 4, 8};
 
-// Biased toward ∪-distributive shapes (positive relation atoms, unranged
-// quantifiers) so the coordinator path gets real coverage, while still
-// emitting negations, adom, ranged quantifiers, and two-sided conjunctions
-// to exercise the merge-stack fallback on the same battery.
+// Mostly positive relation atoms and unranged quantifiers, plus negations,
+// adom, ranged quantifiers and two-sided conjunctions, so both the patched
+// and the recompiled maintenance paths see the battery.
 class ShardFormulaFuzzer {
  public:
   explicit ShardFormulaFuzzer(uint64_t seed) : rng_(seed) {}
@@ -67,7 +70,7 @@ class ShardFormulaFuzzer {
       case 4:
         return FRelation("S", {t1, t2});
       case 5:
-        // Rare: the active-domain predicate forces the fallback path.
+        // Rare: the active-domain predicate.
         return rng_.NextBelow(4) == 0 ? FPred(PredKind::kAdom, {t1})
                                       : FRelation("R", {t1});
       default:
@@ -77,7 +80,7 @@ class ShardFormulaFuzzer {
 
   FormulaPtr Quantified(int depth, std::vector<std::string>& scope) {
     std::string var = "v" + std::to_string(scope.size());
-    // Mostly unranged (distributable); occasionally adom-ranged (fallback).
+    // Mostly unranged; occasionally adom-ranged.
     QuantRange range =
         rng_.NextBelow(4) == 0 ? QuantRange::kAdom : QuantRange::kAll;
     scope.push_back(var);
@@ -131,6 +134,28 @@ FormulaPtr ExistentialClosure(FormulaPtr f) {
   return f;
 }
 
+// A server over `db`'s schema with every relation empty.
+Database EmptyLike(const Database& db) {
+  Database empty(db.alphabet());
+  for (const auto& [name, rel] : db.relations()) {
+    Status status = empty.AddRelation(name, rel.arity(), {});
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  return empty;
+}
+
+// Shards `db`'s tuples round-robin into `parts` insert batches.
+std::vector<std::vector<TupleDelta>> Shards(const Database& db, int parts) {
+  std::vector<std::vector<TupleDelta>> batches(parts);
+  size_t i = 0;
+  for (const auto& [name, rel] : db.relations()) {
+    for (const Tuple& t : rel.tuples()) {
+      batches[i++ % parts].push_back({name, t, true});
+    }
+  }
+  return batches;
+}
+
 // One arm per shard count, each serving its own copy of the same database.
 struct Arms {
   std::vector<std::unique_ptr<serve::QueryServer>> servers;
@@ -138,9 +163,17 @@ struct Arms {
 
   explicit Arms(const Database& db) {
     for (int n : kShardCounts) {
-      serve::ServerOptions options;
-      options.num_shards = n;
-      servers.push_back(std::make_unique<serve::QueryServer>(db, options));
+      if (n == 1) {
+        servers.push_back(std::make_unique<serve::QueryServer>(db));
+      } else {
+        servers.push_back(
+            std::make_unique<serve::QueryServer>(EmptyLike(db)));
+        for (const std::vector<TupleDelta>& batch : Shards(db, n)) {
+          if (batch.empty()) continue;
+          Result<CommitDelta> c = servers.back()->CommitDeltas(batch);
+          EXPECT_TRUE(c.ok()) << "arm " << n << ": " << c.status();
+        }
+      }
       sessions.push_back(servers.back()->OpenSession());
     }
   }
@@ -153,8 +186,8 @@ struct Arms {
     }
   }
 
-  // The full agreement battery for one formula. Arm 0 (1 shard — never
-  // routed through the coordinator) is the oracle.
+  // The full agreement battery for one formula. Arm 0 (the bulk-loaded
+  // database) is the oracle.
   void CheckAgreement(const FormulaPtr& f) {
     const std::string text = ToString(f);
     Result<Relation> oracle = sessions[0]->Query(f);
@@ -259,8 +292,8 @@ TEST_P(ShardUpdateStreamFuzzTest, ArmsAgreeUnderIdenticalUpdateStreams) {
     }
   }
 
-  // Opaque commit (whole-relation replacement) forces a reseed everywhere;
-  // the arms must come back in agreement.
+  // Opaque commit (whole-relation replacement) invalidates what every arm
+  // maintains incrementally; the arms must come back in agreement.
   for (size_t a = 0; a < arms.servers.size(); ++a) {
     Status s = arms.servers[a]->versioned_db().AddRelation(
         "T", 1, {{"0"}, {"10"}, {"110"}});
