@@ -10,18 +10,7 @@
 //      fully off (non-caching store, fresh cache per evaluation);
 //   5. the cost-based planner: intermediate automaton states with planning
 //      off, per rule in isolation (miniscoping, reordering), and all on;
-//   6. the product kernels: the retained eager (allocate |A|x|B|) kernel vs
-//      the reachable-only worklist kernel vs reachable + parallel subplan
-//      compilation, scored by wall clock and by the explored/allocated
-//      state ratio (dfa.product_states_explored / _allocated — below 1.0
-//      means the worklist skipped unreachable product states);
-//   7. character-class alphabet compression: the dense letter-indexed
-//      kernels vs the condensed class-indexed ones on an arity-4
-//      multi-track workload, scored by transition computations
-//      (dfa.product_transitions_computed), by condensed-vs-dense table
-//      bytes, and by canonical intern ids (which must not depend on the
-//      kernel);
-//   8. incremental maintenance under an update stream: the same sequence
+//   6. incremental maintenance under an update stream: the same sequence
 //      of tuple-delta commits replayed against a server with the src/incr
 //      index on (tries and answer automata patched across revisions) vs
 //      off (full recompile from every new snapshot), scored by updates/sec
@@ -32,10 +21,7 @@
 #include <cstdio>
 #include <iterator>
 #include <memory>
-#include <optional>
 
-#include "automata/dfa.h"
-#include "automata/ops.h"
 #include "automata/regex.h"
 #include "automata/store.h"
 #include "bench/bench_util.h"
@@ -345,252 +331,7 @@ int Run(int argc, char** argv) {
     reporter.AddScalar("plan.answers_agree", agree ? 1.0 : 0.0);
   }
 
-  // --- 6. Product kernels: eager vs reachable vs reachable+parallel ------
-  // Three workloads whose conjunctions build real products. Each config
-  // gets a fresh substrate (no computed-table leakage); the explored and
-  // allocated counters come from the metrics delta of each workload. The
-  // eager kernel materializes the full |A|x|B| space, so its ratio is 1 by
-  // construction; the worklist kernel's ratio is the fraction of the
-  // product space that is actually reachable.
-  {
-    Database kdb = RandomUnaryDb(77, 16, 1, 6);
-    const FormulaPtr workload[] = {
-        // Anchored prefixes + length counters: their pairwise products are
-        // diagonal-sparse (a state at prefix depth i can only meet counter
-        // states at the same depth), the reachable-only kernel's best case.
-        Q("member(x, '010(0|1)*') & "
-          "member(x, '(0|1)(0|1)(0|1)(0|1)(0|1)*0(0|1)*') & "
-          "member(x, '01(0|1)*1') & R(x)"),
-        Q("exists x in adom. (like(x, '0%1') & member(x, '(0|1)*01(0|1)*') & "
-          "member(x, '(00|01|10|11)*'))"),
-        Q("forall x in adom. forall y in adom. "
-          "(lexleq(lcp(x, y), x) | member(y, '(0|1)*11(0|1)*'))"),
-    };
-    struct KernelConfig {
-      const char* name;
-      ProductKernel kernel;
-      int threads;
-    };
-    // Explicit 4 threads (not 0 = auto) so the pool path runs even on
-    // single-core CI boxes, where auto degrades to serial by design.
-    const KernelConfig configs[] = {
-        {"eager", ProductKernel::kEager, 1},
-        {"reachable", ProductKernel::kReachable, 1},
-        {"reachable+parallel", ProductKernel::kReachable, 4},
-    };
-    obs::ScopedEnable enable(true);
-    int reps = reporter.smoke() ? 2 : 5;
-    std::vector<std::vector<int>> answers;
-    std::printf("  [6] product kernels (explored/allocated per workload):\n");
-    for (const KernelConfig& config : configs) {
-      ScopedProductKernel kernel(config.kernel);
-      std::vector<int> config_answers;
-      double total_seconds = 0;
-      std::string ratios;
-      for (size_t w = 0; w < std::size(workload); ++w) {
-        std::map<std::string, int64_t> before =
-            obs::MetricsRegistry::Global().Snapshot();
-        int answer = -1;
-        double t = TimeSeconds(
-            [&] {
-              // Fresh substrate per rep: the kernels must do their work
-              // every time rather than serve the computed table.
-              AutomatonStore store(true);
-              auto cache = std::make_shared<AtomCache>(kdb.alphabet(), &store);
-              AutomataEvaluator engine(&kdb, cache);
-              engine.set_parallel_options(ParallelOptions{config.threads});
-              if (FreeVars(workload[w]).empty()) {
-                Result<bool> v = engine.EvaluateSentence(workload[w]);
-                answer = v.ok() ? static_cast<int>(*v) : -1;
-              } else {
-                Result<Relation> v = engine.Evaluate(workload[w]);
-                answer = v.ok() ? static_cast<int>(v->size()) : -1;
-              }
-            },
-            reps);
-        total_seconds += t;
-        config_answers.push_back(answer);
-        std::map<std::string, int64_t> delta = obs::MetricsDelta(
-            before, obs::MetricsRegistry::Global().Snapshot());
-        int64_t explored = delta[obs::kDfaProductStatesExplored];
-        int64_t allocated = delta[obs::kDfaProductStatesAllocated];
-        double ratio =
-            allocated > 0 ? static_cast<double>(explored) / allocated : 1.0;
-        ratios += (w > 0 ? " " : "") + std::to_string(ratio).substr(0, 4);
-        if (std::string(config.name) == "reachable") {
-          std::string wn = ".w" + std::to_string(w + 1);
-          reporter.AddScalar("dfa.product_states_explored" + wn,
-                             static_cast<double>(explored));
-          reporter.AddScalar("dfa.product_states_allocated" + wn,
-                             static_cast<double>(allocated));
-          reporter.AddScalar("dfa.product_states_ratio" + wn, ratio);
-        }
-      }
-      answers.push_back(std::move(config_answers));
-      std::printf("      %-18s %.4fs total, ratios: %s\n", config.name,
-                  total_seconds, ratios.c_str());
-      std::string prefix = std::string(config.name) == "eager"
-                               ? "kernel.eager"
-                           : std::string(config.name) == "reachable"
-                               ? "kernel.reachable"
-                               : "kernel.parallel";
-      reporter.AddScalar(prefix + "_seconds", total_seconds);
-    }
-    bool agree = true;
-    for (const auto& a : answers) agree = agree && a == answers[0];
-    std::printf("      answers agree: %s\n", agree ? "yes" : "NO");
-    reporter.AddScalar("kernel.answers_agree", agree ? 1.0 : 0.0);
-    // pool.* flows from the parallel config; surface it as scalars so the
-    // json_check gate can assert the thread pool actually ran.
-    reporter.AddScalar(
-        "pool.tasks", static_cast<double>(obs::MetricsRegistry::Global().Get(
-                          obs::kPoolTasks)));
-    reporter.AddScalar(
-        "pool.steals_or_waits",
-        static_cast<double>(
-            obs::MetricsRegistry::Global().Get(obs::kPoolStealsOrWaits)));
-  }
-
-  // --- 7. Character-class alphabet compression ---------------------------
-  // An arity-4 multi-track pipeline (2401 convolution letters over a
-  // six-letter Σ): lcp/leqlen/lexleq/prefix atoms aligned across four
-  // tracks, intersected pairwise and then projected twice. Storage is always canonically
-  // condensed under BOTH kernel modes — that is what keeps intern ids
-  // mode-independent — so the kernel switch only changes how the operations
-  // iterate: per letter (dense) or per symbol-equivalence class (condensed).
-  // Scored by the transition computations the products perform, by the
-  // bytes of the condensed tables vs their dense letter-indexed equivalents,
-  // and by interning both finals into one shared store to confirm the
-  // canonical ids agree.
-  {
-    // Over Σ = {0..5} the arity-4 convolution alphabet has 7^4 = 2401
-    // letters, but the comparison atoms below (lcp, lexleq, leqlen, prefix)
-    // only distinguish letters by digit-equality/order/pad patterns, so
-    // their class counts — and those of their joint-refinement products —
-    // are essentially |Σ|-independent. This is the regime the class
-    // partition is built for: the dense letter-indexed representation pays
-    // for 2401 columns per state, the condensed one for a few dozen.
-    Result<Alphabet> six = Alphabet::Create("012345");
-    if (!six.ok()) return 1;
-    auto build = [&](const AutomatonStore& store)
-        -> Result<TrackAutomaton> {
-      AtomCache cache(*six, &store);
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton lcp, cache.Lcp(0, 1, 2));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton leq, cache.LeqLen(0, 3));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton lex, cache.LexLeq(1, 3));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton pre, cache.Prefix(2, 3));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton r1,
-                            TrackAutomaton::Intersect(lcp, leq));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton r2,
-                            TrackAutomaton::Intersect(lex, pre));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton r,
-                            TrackAutomaton::Intersect(r1, r2));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton p, r.Project(3));
-      return p.Project(1);
-    };
-    struct ClassConfig {
-      const char* name;
-      ClassKernel kernel;
-    };
-    const ClassConfig configs[] = {
-        {"dense", ClassKernel::kDense},
-        {"condensed", ClassKernel::kCondensed},
-    };
-    obs::ScopedEnable enable(true);
-    int reps = reporter.smoke() ? 1 : 3;
-    AutomatonStore id_store(true);
-    std::vector<uint64_t> ids;
-    std::vector<uint64_t> counts;
-    double seconds[2] = {0, 0};
-    int64_t transitions[2] = {0, 0};
-    int64_t bytes_cond = 0;
-    int64_t bytes_dense = 0;
-    int final_classes = 0;
-    int final_letters = 0;
-    std::printf(
-        "  [7] class compression (arity-4 convolution, 2401 letters):\n");
-    for (int c = 0; c < 2; ++c) {
-      ScopedClassKernel kernel(configs[c].kernel);
-      std::map<std::string, int64_t> before =
-          obs::MetricsRegistry::Global().Snapshot();
-      std::optional<TrackAutomaton> final_rel;
-      seconds[c] = TimeSeconds(
-          [&] {
-            // Fresh substrate per rep so the kernels genuinely recompute
-            // instead of serving the computed table.
-            AutomatonStore store(true);
-            Result<TrackAutomaton> r = build(store);
-            if (r.ok()) {
-              final_rel.emplace(*std::move(r));
-            } else {
-              final_rel.reset();
-            }
-          },
-          reps);
-      std::map<std::string, int64_t> delta = obs::MetricsDelta(
-          before, obs::MetricsRegistry::Global().Snapshot());
-      transitions[c] = delta[obs::kDfaProductTransitions];
-      if (std::string(configs[c].name) == "condensed") {
-        bytes_cond = delta[obs::kDfaTableBytesCondensed];
-        bytes_dense = delta[obs::kDfaTableBytesDenseEquiv];
-      }
-      if (final_rel.has_value()) {
-        counts.push_back(final_rel->CountUpToLength(6));
-        // The final automaton outlives its per-rep store via the shared
-        // DfaRef; re-interning into the common id_store yields the
-        // canonical identity this config computed.
-        ids.push_back(id_store.Intern(final_rel->dfa()).id());
-        if (std::string(configs[c].name) == "condensed") {
-          final_classes = final_rel->NumClasses();
-          final_letters = final_rel->conv().num_letters();
-        }
-      } else {
-        counts.push_back(0);
-        ids.push_back(0);
-      }
-      std::printf("      %-9s %.4fs, %lld product transition computations\n",
-                  configs[c].name, seconds[c],
-                  static_cast<long long>(transitions[c]));
-    }
-    bool answers_agree = counts.size() == 2 && counts[0] == counts[1];
-    bool ids_agree =
-        ids.size() == 2 && ids[0] != 0 && ids[0] == ids[1];
-    double bytes_reduction =
-        bytes_cond > 0 ? static_cast<double>(bytes_dense) / bytes_cond : 0.0;
-    double work_reduction =
-        transitions[1] > 0
-            ? static_cast<double>(transitions[0]) / transitions[1]
-            : 0.0;
-    std::printf(
-        "      table bytes: %lld condensed vs %lld dense-equivalent "
-        "(%.1fx); final %d classes / %d letters\n",
-        static_cast<long long>(bytes_cond),
-        static_cast<long long>(bytes_dense), bytes_reduction, final_classes,
-        final_letters);
-    std::printf(
-        "      product work: %.1fx fewer transition computations; answers "
-        "agree: %s; store ids agree: %s\n",
-        work_reduction, answers_agree ? "yes" : "NO",
-        ids_agree ? "yes" : "NO");
-    reporter.AddScalar("classes.dense_seconds", seconds[0]);
-    reporter.AddScalar("classes.condensed_seconds", seconds[1]);
-    reporter.AddScalar("dfa.product_transitions_dense",
-                       static_cast<double>(transitions[0]));
-    reporter.AddScalar("dfa.product_transitions_condensed",
-                       static_cast<double>(transitions[1]));
-    reporter.AddScalar("classes.product_work_reduction", work_reduction);
-    reporter.AddScalar("dfa.table_bytes_condensed",
-                       static_cast<double>(bytes_cond));
-    reporter.AddScalar("dfa.table_bytes_dense_equiv",
-                       static_cast<double>(bytes_dense));
-    reporter.AddScalar("classes.table_bytes_reduction", bytes_reduction);
-    reporter.AddScalar("dfa.classes_final",
-                       static_cast<double>(final_classes));
-    reporter.AddScalar("classes.answers_agree", answers_agree ? 1.0 : 0.0);
-    reporter.AddScalar("classes.store_ids_agree", ids_agree ? 1.0 : 0.0);
-  }
-
-  // --- 8. Incremental maintenance under an update stream -----------------
+  // --- 6. Incremental maintenance under an update stream -----------------
   // Precompute one stream of tuple-delta batches (mostly inserts, with a
   // mixed insert/delete batch every fourth step — the append-heavy shape
   // update streams actually have), then replay it twice: once against a
@@ -734,7 +475,7 @@ int Run(int argc, char** argv) {
       return out;
     };
 
-    std::printf("  [8] incremental maintenance under an update stream:\n");
+    std::printf("  [6] incremental maintenance under an update stream:\n");
     ArmResult patched = run_arm(true);
     ArmResult recompiled = run_arm(false);
     bool both_ok = patched.ok && recompiled.ok;

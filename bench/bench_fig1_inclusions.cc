@@ -1,12 +1,12 @@
 // Figure 1 — the inclusion diagram of the five calculi:
 //
-//            RC_concat
-//                |
-//             RC(S_len)
-//             /       \
-//       RC(S_left)  RC(S_reg)
-//             \       /
-//               RC(S)
+//                RC_concat
+//                    |
+//                RC(S_len)
+//                |       |
+//        RC(S_left)     RC(S_reg)
+//                |       |
+//                  RC(S)
 //
 // Every edge and non-edge is re-established by machine: inclusions by the
 // signature system plus semantic agreement, separations by the definable-

@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "automata/dfa.h"
-#include "automata/ops.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "obs/json.h"
@@ -144,21 +142,13 @@ class BenchReporter {
     out.Set("title", obs::JsonValue::Str(title_));
     out.Set("smoke", obs::JsonValue::Bool(smoke_));
     // Provenance: enough to reproduce the run — harness revision, workload
-    // seed, effective thread count, and which kernel variants were active.
-    // json_check requires this block (and each of its keys) for bench.v1.
+    // seed and effective thread count. json_check requires this block (and
+    // each of its keys) for bench.v1.
     obs::JsonValue meta = obs::JsonValue::Object();
-    meta.Set("harness_version", obs::JsonValue::Int(2));
+    meta.Set("harness_version", obs::JsonValue::Int(3));
     meta.Set("seed", obs::JsonValue::Int(static_cast<int64_t>(seed_)));
     meta.Set("threads",
              obs::JsonValue::Int(ParallelOptions{}.EffectiveThreads()));
-    meta.Set("product_kernel",
-             obs::JsonValue::Str(GetProductKernel() == ProductKernel::kEager
-                                     ? "eager"
-                                     : "reachable"));
-    meta.Set("class_kernel",
-             obs::JsonValue::Str(GetClassKernel() == ClassKernel::kDense
-                                     ? "dense"
-                                     : "condensed"));
     out.Set("meta", std::move(meta));
     obs::JsonValue series = obs::JsonValue::Array();
     for (const Series& s : series_) {

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
   }
   const strq::obs::JsonValue* meta = root.Find("meta");
   if (!meta->is_object()) return Fail("meta is not an object");
-  for (const char* key : {"harness_version", "seed", "threads",
-                          "product_kernel", "class_kernel"}) {
+  for (const char* key : {"harness_version", "seed", "threads"}) {
     if (meta->Find(key) == nullptr) {
       return Fail(std::string("meta missing required key: ") + key);
     }

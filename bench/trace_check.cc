@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   strq::Database db(strq::Alphabet::Binary());
   std::vector<strq::Tuple> r;
-  for (const std::string& s : {"0", "1", "01", "10", "010", "101", "0110"}) {
+  for (const char* s : {"0", "1", "01", "10", "010", "101", "0110"}) {
     r.push_back({s});
   }
   if (!db.AddRelation("R", 1, std::move(r)).ok()) {

@@ -1,7 +1,6 @@
 #include "automata/dfa.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <deque>
 #include <map>
@@ -14,8 +13,6 @@
 namespace strq {
 
 namespace {
-
-std::atomic<ClassKernel> g_class_kernel{ClassKernel::kCondensed};
 
 // FNV-1a over the condensed structural content. Cheap, stable across
 // platforms, and good enough for the unique table (which compares
@@ -50,14 +47,6 @@ std::vector<int> IdentityLetterMap(int alphabet_size) {
 }
 
 }  // namespace
-
-ClassKernel GetClassKernel() {
-  return g_class_kernel.load(std::memory_order_relaxed);
-}
-
-void SetClassKernel(ClassKernel kernel) {
-  g_class_kernel.store(kernel, std::memory_order_relaxed);
-}
 
 Dfa::Dfa(int alphabet_size, int num_states, int start,
          std::vector<int> letter_class, int num_hint_classes,
@@ -564,11 +553,10 @@ Dfa Dfa::CanonicalQuotient(int alphabet_size,
   // Canonical renumbering: BFS over blocks from the start block, exploring
   // hint classes in increasing order. Hint classes are numbered by first
   // letter occurrence and same-class letters share targets, so this visits
-  // blocks in exactly the order a dense BFS in letter order would — the
-  // numbering is the same under either kernel. Every block contains a
-  // reachable state, so the BFS covers all blocks; the resulting numbering
-  // depends only on the quotient automaton, making equivalent inputs
-  // structurally identical.
+  // blocks in exactly the order a BFS in letter order would, whatever hint
+  // partition the caller passes. Every block contains a reachable state, so
+  // the BFS covers all blocks; the resulting numbering depends only on the
+  // quotient automaton, making equivalent inputs structurally identical.
   std::vector<int> order(num_parts, -1);
   int assigned = 0;
   std::deque<int> queue;
@@ -609,41 +597,20 @@ Dfa Dfa::Minimized() const {
   int m = 0;
   int start = ReachableRestriction(&rnext, &accepting, &m);
 
-  // Effective column table the refinement splits on. Splitting on a class is
-  // equivalent to splitting on any of its letters (identical preimages), so
-  // the condensed kernel refines over the C class columns; the dense
-  // baseline expands them back to the |Σ| letter columns and reproduces the
-  // pre-class behavior exactly.
-  const bool dense = GetClassKernel() == ClassKernel::kDense;
-  int k;
-  std::vector<int> eff;
-  std::vector<int> eff_letter_class;
-  if (dense) {
-    k = alphabet_size_;
-    eff.resize(static_cast<size_t>(m) * k);
-    for (int q = 0; q < m; ++q) {
-      for (int s = 0; s < k; ++s) {
-        eff[static_cast<size_t>(q) * k + s] =
-            rnext[static_cast<size_t>(q) * num_classes_ + letter_class_[s]];
-      }
-    }
-    eff_letter_class = IdentityLetterMap(k);
-  } else {
-    k = num_classes_;
-    eff = std::move(rnext);
-    eff_letter_class = letter_class_;
-  }
+  // The refinement splits on the C class columns: splitting on a class is
+  // equivalent to splitting on any of its letters (identical preimages).
+  const int k = num_classes_;
 
   // Hopcroft partition refinement over the reachable restriction.
   //
-  // Inverse transitions in CSR form per effective column: the sources of t
+  // Inverse transitions in CSR form per class column: the sources of t
   // under column s are rev[rev_off[s * (m+1) + t] .. rev_off[s * (m+1) + t +
   // 1]).
   std::vector<int> rev_off(static_cast<size_t>(k) * (m + 1) + 1, 0);
   {
     for (int q = 0; q < m; ++q) {
       for (int s = 0; s < k; ++s) {
-        int t = eff[static_cast<size_t>(q) * k + s];
+        int t = rnext[static_cast<size_t>(q) * k + s];
         ++rev_off[static_cast<size_t>(s) * (m + 1) + t + 1];
       }
     }
@@ -654,7 +621,7 @@ Dfa Dfa::Minimized() const {
     std::vector<int> cursor(rev_off.begin(), rev_off.end() - 1);
     for (int q = 0; q < m; ++q) {
       for (int s = 0; s < k; ++s) {
-        int t = eff[static_cast<size_t>(q) * k + s];
+        int t = rnext[static_cast<size_t>(q) * k + s];
         rev[cursor[static_cast<size_t>(s) * (m + 1) + t]++] = q;
       }
     }
@@ -748,7 +715,7 @@ Dfa Dfa::Minimized() const {
   span.Attr("classes", num_classes_);
   obs::Count(obs::kDfaMinimizations);
   obs::Count(obs::kDfaStatesBuilt, num_parts);
-  return CanonicalQuotient(alphabet_size_, eff_letter_class, k, m, start, eff,
+  return CanonicalQuotient(alphabet_size_, letter_class_, k, m, start, rnext,
                            accepting, block_of, num_parts);
 }
 
@@ -761,7 +728,7 @@ Dfa Dfa::MinimizedMoore() const {
 
   // Moore partition refinement: O(n^2 * |Σ|) worst case, signatures taken
   // letter by letter. Kept as the reference implementation that Minimized()
-  // is differential-tested against under both class kernels.
+  // is differential-tested against.
   std::vector<int> part(m);
   for (int q = 0; q < m; ++q) part[q] = accepting[q] ? 1 : 0;
   int num_parts = 2;

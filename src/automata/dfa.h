@@ -11,31 +11,6 @@
 
 namespace strq {
 
-// Which kernel variant the hot automaton algorithms use. The condensed
-// kernels iterate the symbol-equivalence classes described below; the dense
-// kernels iterate raw letters exactly like the pre-class code and are kept
-// as the differential-testing and ablation baseline (mirroring the
-// reachable/eager ProductKernel switch in automata/ops.h). Storage is
-// canonically condensed under either kernel, so both produce structurally
-// identical automata and identical store ids.
-enum class ClassKernel { kCondensed, kDense };
-ClassKernel GetClassKernel();
-void SetClassKernel(ClassKernel kernel);
-
-// RAII kernel switch for tests and benches.
-class ScopedClassKernel {
- public:
-  explicit ScopedClassKernel(ClassKernel kernel) : saved_(GetClassKernel()) {
-    SetClassKernel(kernel);
-  }
-  ~ScopedClassKernel() { SetClassKernel(saved_); }
-  ScopedClassKernel(const ScopedClassKernel&) = delete;
-  ScopedClassKernel& operator=(const ScopedClassKernel&) = delete;
-
- private:
-  ClassKernel saved_;
-};
-
 // A complete deterministic finite automaton over symbols {0..alphabet_size-1}.
 // Transition tables are total: every state has a successor on every symbol
 // (constructions add an explicit sink where needed). States are dense ints.
@@ -188,11 +163,10 @@ class Dfa {
   // Language transformations (all return complete DFAs).
   Dfa Complemented() const;
 
-  // Hopcroft minimization, O(n·C·log n) over the C symbol classes (O(n·|Σ|·
-  // log n) under the dense kernel). Removes unreachable states and renumbers
-  // the result canonically (BFS from the start state in class — equivalently
-  // symbol — order), so equivalent DFAs minimize to structurally identical
-  // automata under either kernel.
+  // Hopcroft minimization, O(n·C·log n) over the C symbol classes. Removes
+  // unreachable states and renumbers the result canonically (BFS from the
+  // start state in class — equivalently symbol — order), so equivalent DFAs
+  // minimize to structurally identical automata.
   Dfa Minimized() const;
 
   // Reference Moore partition refinement (O(n²·|Σ|)), kept for differential

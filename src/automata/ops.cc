@@ -1,7 +1,6 @@
 #include "automata/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -146,14 +145,12 @@ Result<Dfa> DeterminizeClassed(
 
 namespace {
 
-std::atomic<ProductKernel> g_product_kernel{ProductKernel::kReachable};
-
 // The joint refinement of the operands' symbol partitions: letters grouped
 // by their (class-in-a, class-in-b) pair. All letters of a joint class take
 // identical target pairs from any state pair, so the product only needs one
 // transition computation per joint class. Joint classes are numbered by
-// first letter occurrence, which makes the condensed BFS below discover
-// pairs in exactly the order the dense letter-order BFS would.
+// first letter occurrence, so the BFS below discovers pairs in the same
+// order a letter-by-letter BFS would.
 struct JointPartition {
   std::vector<int> letter_class;        // letter -> joint class
   std::vector<std::pair<int, int>> cc;  // joint class -> (class_a, class_b)
@@ -175,57 +172,14 @@ JointPartition JoinPartitions(const Dfa& a, const Dfa& b) {
   return jp;
 }
 
-// Reachable-only product, dense baseline: a BFS worklist from (start_a,
-// start_b) interning state pairs in discovery order, so only the reachable
-// region of the |A|x|B| pair space is ever allocated. Rows are appended in
-// pop order, which coincides with the dense ids, so the flat transition
-// table needs no final permutation.
-Result<Dfa> ProductReachableDense(const Dfa& a, const Dfa& b,
-                                  bool (*combine)(bool, bool),
-                                  int max_states) {
-  int k = a.alphabet_size();
-  int64_t nb = b.num_states();
-  std::unordered_map<int64_t, int> ids;
-  std::vector<int64_t> pairs;
-  auto intern = [&](int qa, int qb) -> int {
-    int64_t key = static_cast<int64_t>(qa) * nb + qb;
-    auto [it, inserted] = ids.emplace(key, static_cast<int>(pairs.size()));
-    if (inserted) pairs.push_back(key);
-    return it->second;
-  };
-  (void)intern(a.start(), b.start());
-  std::vector<int> next;
-  std::vector<bool> accepting;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (static_cast<int>(pairs.size()) > max_states) {
-      return ResourceExhaustedError("product exceeded state budget");
-    }
-    STRQ_RETURN_IF_ERROR(DeadlineAt(i));
-    int qa = static_cast<int>(pairs[i] / nb);
-    int qb = static_cast<int>(pairs[i] % nb);
-    accepting.push_back(combine(a.IsAccepting(qa), b.IsAccepting(qb)));
-    for (int s = 0; s < k; ++s) {
-      next.push_back(intern(a.Next(qa, static_cast<Symbol>(s)),
-                            b.Next(qb, static_cast<Symbol>(s))));
-    }
-  }
-  int n = static_cast<int>(pairs.size());
-  obs::Count(obs::kDfaStatesBuilt, n);
-  obs::Count(obs::kDfaProductStatesExplored, n);
-  obs::Count(obs::kDfaProductTransitions, static_cast<int64_t>(n) * k);
-  return Dfa::CreateFlat(k, n, 0, std::move(next), std::move(accepting));
-}
-
 // Reachable-only product over the joint refinement: per popped pair the
 // worklist computes one target pair per joint class instead of one per
 // letter, and the result is assembled condensed with the joint partition as
 // hint — the dense letter axis is never touched beyond the O(|Σ|) letter
-// map. Produces a Dfa structurally identical to the dense kernel's (same
-// pair discovery order, and the Dfa constructor re-canonicalizes the
-// partition either way).
-Result<Dfa> ProductReachableCondensed(const Dfa& a, const Dfa& b,
-                                      bool (*combine)(bool, bool),
-                                      int max_states) {
+// map. Pairs get dense ids in discovery order and rows are appended in pop
+// order, so the flat transition table needs no final permutation.
+Result<Dfa> ProductReachable(const Dfa& a, const Dfa& b,
+                             bool (*combine)(bool, bool), int max_states) {
   JointPartition jp = JoinPartitions(a, b);
   int nj = static_cast<int>(jp.cc.size());
   int64_t nb = b.num_states();
@@ -262,47 +216,6 @@ Result<Dfa> ProductReachableCondensed(const Dfa& a, const Dfa& b,
                               std::move(accepting));
 }
 
-Result<Dfa> ProductReachable(const Dfa& a, const Dfa& b,
-                             bool (*combine)(bool, bool), int max_states) {
-  return GetClassKernel() == ClassKernel::kDense
-             ? ProductReachableDense(a, b, combine, max_states)
-             : ProductReachableCondensed(a, b, combine, max_states);
-}
-
-// Eager reference kernel: allocates the full |A|x|B| pair space up front.
-// Kept for differential testing and the ablation bench; sizes computed in
-// 64 bits so huge operands fail the budget check instead of wrapping.
-Result<Dfa> ProductEager(const Dfa& a, const Dfa& b,
-                         bool (*combine)(bool, bool), int max_states) {
-  int k = a.alphabet_size();
-  int nb = b.num_states();
-  int64_t n64 = static_cast<int64_t>(a.num_states()) * nb;
-  if (n64 > max_states) {
-    return ResourceExhaustedError("product exceeded state budget");
-  }
-  int n = static_cast<int>(n64);
-  auto encode = [nb](int qa, int qb) { return qa * nb + qb; };
-  obs::Count(obs::kDfaStatesBuilt, n);
-  obs::Count(obs::kDfaProductStatesExplored, n);
-  obs::Count(obs::kDfaProductTransitions, static_cast<int64_t>(n) * k);
-  std::vector<int> next(static_cast<size_t>(n) * k);
-  std::vector<bool> accepting(n);
-  for (int qa = 0; qa < a.num_states(); ++qa) {
-    STRQ_RETURN_IF_ERROR(DeadlineAt(static_cast<size_t>(qa)));
-    for (int qb = 0; qb < nb; ++qb) {
-      int q = encode(qa, qb);
-      accepting[q] = combine(a.IsAccepting(qa), b.IsAccepting(qb));
-      for (int s = 0; s < k; ++s) {
-        next[static_cast<size_t>(q) * k + s] =
-            encode(a.Next(qa, static_cast<Symbol>(s)),
-                   b.Next(qb, static_cast<Symbol>(s)));
-      }
-    }
-  }
-  return Dfa::CreateFlat(k, n, encode(a.start(), b.start()), std::move(next),
-                         std::move(accepting));
-}
-
 // Generic product DFA with a boolean combiner on acceptance.
 Result<Dfa> Product(const Dfa& a, const Dfa& b, bool (*combine)(bool, bool),
                     int max_states) {
@@ -315,12 +228,7 @@ Result<Dfa> Product(const Dfa& a, const Dfa& b, bool (*combine)(bool, bool),
   span.Attr("a_states", a.num_states());
   span.Attr("b_states", b.num_states());
   obs::Count(obs::kDfaProducts);
-  obs::Count(obs::kDfaProductStatesAllocated,
-             static_cast<int64_t>(a.num_states()) * b.num_states());
-  Result<Dfa> out =
-      GetProductKernel() == ProductKernel::kEager
-          ? ProductEager(a, b, combine, max_states)
-          : ProductReachable(a, b, combine, max_states);
+  Result<Dfa> out = ProductReachable(a, b, combine, max_states);
   if (out.ok()) span.Attr("states_explored", out->num_states());
   return out;
 }
@@ -334,15 +242,9 @@ Result<bool> ProductEmpty(const Dfa& a, const Dfa& b,
     return InvalidArgumentError("product of DFAs over different alphabets");
   }
   obs::Count(obs::kDfaProducts);
-  obs::Count(obs::kDfaProductStatesAllocated,
-             static_cast<int64_t>(a.num_states()) * b.num_states());
-  // The decision only needs one successor pair per joint class; the dense
-  // baseline walks raw letters instead.
-  const bool dense = GetClassKernel() == ClassKernel::kDense;
-  int k = a.alphabet_size();
-  JointPartition jp;
-  if (!dense) jp = JoinPartitions(a, b);
-  const int cols = dense ? k : static_cast<int>(jp.cc.size());
+  // The decision only needs one successor pair per joint class.
+  JointPartition jp = JoinPartitions(a, b);
+  const int cols = static_cast<int>(jp.cc.size());
   int64_t nb = b.num_states();
   std::unordered_map<int64_t, int> seen;
   std::vector<int64_t> pairs;
@@ -363,15 +265,8 @@ Result<bool> ProductEmpty(const Dfa& a, const Dfa& b,
       obs::Count(obs::kDfaEarlyExits);
       return false;
     }
-    if (dense) {
-      for (int s = 0; s < k; ++s) {
-        visit(a.Next(qa, static_cast<Symbol>(s)),
-              b.Next(qb, static_cast<Symbol>(s)));
-      }
-    } else {
-      for (const auto& [ca, cb] : jp.cc) {
-        visit(a.NextByClass(qa, ca), b.NextByClass(qb, cb));
-      }
+    for (const auto& [ca, cb] : jp.cc) {
+      visit(a.NextByClass(qa, ca), b.NextByClass(qb, cb));
     }
   }
   obs::Count(obs::kDfaProductStatesExplored,
@@ -382,14 +277,6 @@ Result<bool> ProductEmpty(const Dfa& a, const Dfa& b,
 }
 
 }  // namespace
-
-ProductKernel GetProductKernel() {
-  return g_product_kernel.load(std::memory_order_relaxed);
-}
-
-void SetProductKernel(ProductKernel kernel) {
-  g_product_kernel.store(kernel, std::memory_order_relaxed);
-}
 
 Result<Dfa> Intersect(const Dfa& a, const Dfa& b, int max_states) {
   return Product(

@@ -41,35 +41,12 @@ Result<Dfa> DeterminizeClassed(
     const std::vector<std::vector<std::vector<int>>>& targets,
     int max_states = kDefaultMaxDfaStates);
 
-// Which product implementation the wrappers below use. The reachable-only
-// worklist kernel is the default; the eager |A|x|B| kernel is retained as a
-// differential-testing and ablation reference.
-enum class ProductKernel { kReachable, kEager };
-ProductKernel GetProductKernel();
-void SetProductKernel(ProductKernel kernel);
-
-// RAII kernel switch for tests and benches.
-class ScopedProductKernel {
- public:
-  explicit ScopedProductKernel(ProductKernel kernel)
-      : saved_(GetProductKernel()) {
-    SetProductKernel(kernel);
-  }
-  ~ScopedProductKernel() { SetProductKernel(saved_); }
-  ScopedProductKernel(const ScopedProductKernel&) = delete;
-  ScopedProductKernel& operator=(const ScopedProductKernel&) = delete;
-
- private:
-  ProductKernel saved_;
-};
-
 // Product constructions on complete DFAs over the same alphabet. Only state
-// pairs reachable from (start_a, start_b) are materialized (unless the eager
-// reference kernel is selected); `max_states` bounds the materialized count.
-// Under the condensed class kernel (see ClassKernel in automata/dfa.h) the
-// per-pair work iterates the *joint refinement* classes(a) ⨯ classes(b) —
-// typically far fewer columns than the raw alphabet — and the result is
-// built directly in condensed form with the joint partition as hint.
+// pairs reachable from (start_a, start_b) are materialized; `max_states`
+// bounds the materialized count. The per-pair work iterates the *joint
+// refinement* classes(a) ⨯ classes(b) — typically far fewer columns than the
+// raw alphabet — and the result is built directly in condensed form with the
+// joint partition as hint.
 Result<Dfa> Intersect(const Dfa& a, const Dfa& b,
                       int max_states = kDefaultMaxProductStates);
 Result<Dfa> Union(const Dfa& a, const Dfa& b,

@@ -436,15 +436,12 @@ class Compiler {
     AutomatonStore::Stats store_before;
     AtomCache::Stats cache_before;
     int64_t explored_before = 0;
-    int64_t allocated_before = 0;
     if (watching) {
       span.set_detail(CompileSpanDetail(f));
       store_before = cache_->store().stats();
       cache_before = cache_->stats();
       explored_before = obs::MetricsRegistry::Global().Get(
           obs::kDfaProductStatesExplored);
-      allocated_before = obs::MetricsRegistry::Global().Get(
-          obs::kDfaProductStatesAllocated);
     }
     Result<TrackAutomaton> out = CompileNode(f);
     if (watching && out.ok()) {
@@ -456,16 +453,12 @@ class Compiler {
       span.Attr("classes", out->NumClasses());
       span.Attr("table_bytes_condensed", out->TableBytesCondensed());
       span.Attr("table_bytes_dense_equiv", out->TableBytesDenseEquiv());
-      // Reachable-only kernel accounting for this subtree: pairs the
-      // worklists materialized vs the full eager pair space they avoided.
+      // Product pairs the reachable-only worklists materialized for this
+      // subtree.
       span.Attr("states_explored",
                 obs::MetricsRegistry::Global().Get(
                     obs::kDfaProductStatesExplored) -
                     explored_before);
-      span.Attr("states_allocated",
-                obs::MetricsRegistry::Global().Get(
-                    obs::kDfaProductStatesAllocated) -
-                    allocated_before);
       // A subtree served entirely by the memoization substrate returns
       // near-instantly; mark it so estimated-vs-actual comparisons in the
       // plan phase don't read its span time as real compile cost.

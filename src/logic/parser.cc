@@ -1,5 +1,6 @@
 #include "logic/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <optional>
 #include <string>
@@ -209,20 +210,33 @@ class Parser {
     return Status::Ok();
   }
 
+  static Status TooDeep() {
+    return InvalidArgumentError("formula nested deeper than " +
+                                std::to_string(kMaxNesting));
+  }
+
   // Runs `parse` one nesting level deeper. Every recursive descent (a
   // parenthesis, '!', a quantifier body, the right side of '->', a function
   // argument) goes through here, so input nested past kMaxNesting is refused
   // with a Status before it can overflow the stack.
   template <typename Fn>
   auto Nested(Fn parse) -> decltype(parse()) {
-    if (depth_ >= kMaxNesting) {
-      return InvalidArgumentError("formula nested deeper than " +
-                                  std::to_string(kMaxNesting));
-    }
+    if (depth_ >= kMaxNesting) return TooDeep();
     ++depth_;
     auto result = parse();
     --depth_;
     return result;
+  }
+
+  // Records a connective or quantifier node over children of heights `a`
+  // and `b`. A left-deep chain `a | b | c ...` grows the AST one level per
+  // link without recursing in the parser, so node heights are bounded here
+  // by the same kMaxNesting: every later pass over the AST (Simplify, the
+  // planner, compilation) recurses once per level.
+  Status Grow(int a, int b = 0) {
+    height_ = std::max(a, b) + 1;
+    if (height_ > kMaxNesting) return TooDeep();
+    return Status::Ok();
   }
 
   Result<FormulaPtr> ParseFormula() {
@@ -248,6 +262,7 @@ class Parser {
       STRQ_RETURN_IF_ERROR(Expect(TokKind::kDot, "'.' after quantifier"));
       STRQ_ASSIGN_OR_RETURN(FormulaPtr body,
                             Nested([this] { return ParseFormula(); }));
+      STRQ_RETURN_IF_ERROR(Grow(height_));
       return is_exists ? FExists(var, std::move(body), range)
                        : FForall(var, std::move(body), range);
     }
@@ -264,7 +279,9 @@ class Parser {
   Result<FormulaPtr> ParseIff() {
     STRQ_ASSIGN_OR_RETURN(FormulaPtr left, ParseImplies());
     while (Accept(TokKind::kIff)) {
+      int left_height = height_;
       STRQ_ASSIGN_OR_RETURN(FormulaPtr right, ParseImplies());
+      STRQ_RETURN_IF_ERROR(Grow(left_height, height_));
       left = FIff(std::move(left), std::move(right));
     }
     return left;
@@ -273,8 +290,10 @@ class Parser {
   Result<FormulaPtr> ParseImplies() {
     STRQ_ASSIGN_OR_RETURN(FormulaPtr left, ParseOr());
     if (Accept(TokKind::kImplies)) {
+      int left_height = height_;
       STRQ_ASSIGN_OR_RETURN(FormulaPtr right,  // right assoc
                             Nested([this] { return ParseImplies(); }));
+      STRQ_RETURN_IF_ERROR(Grow(left_height, height_));
       return FImplies(std::move(left), std::move(right));
     }
     return left;
@@ -283,7 +302,9 @@ class Parser {
   Result<FormulaPtr> ParseOr() {
     STRQ_ASSIGN_OR_RETURN(FormulaPtr left, ParseAnd());
     while (Accept(TokKind::kOr)) {
+      int left_height = height_;
       STRQ_ASSIGN_OR_RETURN(FormulaPtr right, ParseAnd());
+      STRQ_RETURN_IF_ERROR(Grow(left_height, height_));
       left = FOr(std::move(left), std::move(right));
     }
     return left;
@@ -292,7 +313,9 @@ class Parser {
   Result<FormulaPtr> ParseAnd() {
     STRQ_ASSIGN_OR_RETURN(FormulaPtr left, ParseUnary());
     while (Accept(TokKind::kAnd)) {
+      int left_height = height_;
       STRQ_ASSIGN_OR_RETURN(FormulaPtr right, ParseUnary());
+      STRQ_RETURN_IF_ERROR(Grow(left_height, height_));
       left = FAnd(std::move(left), std::move(right));
     }
     return left;
@@ -302,12 +325,14 @@ class Parser {
     if (Accept(TokKind::kNot)) {
       STRQ_ASSIGN_OR_RETURN(FormulaPtr f,
                             Nested([this] { return ParseUnary(); }));
+      STRQ_RETURN_IF_ERROR(Grow(height_));
       return FNot(std::move(f));
     }
     if (Peek().kind == TokKind::kIdent &&
         (Peek().text == "exists" || Peek().text == "forall")) {
       return ParseFormula();
     }
+    height_ = 0;  // an atom, or a parenthesized formula that sets its own
     if (AcceptIdent("true")) return FTrue();
     if (AcceptIdent("false")) return FFalse();
     if (Accept(TokKind::kLParen)) {
@@ -520,6 +545,9 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int depth_ = 0;
+  // Height of the formula the last Parse* call returned: 0 for an atom, one
+  // more than its tallest child for a connective or quantifier.
+  int height_ = 0;
 };
 
 }  // namespace

@@ -69,14 +69,9 @@ inline constexpr char kDfaStatesBuilt[] = "dfa.states_built";
 inline constexpr char kDfaMinimizations[] = "dfa.minimizations";
 inline constexpr char kDfaDeterminizations[] = "dfa.determinizations";
 inline constexpr char kDfaProducts[] = "dfa.products";
-// Reachable-only kernel accounting: `explored` counts the state pairs the
-// worklist actually materialized; `allocated` counts the full |A|x|B| pair
-// space an eager kernel would have touched (both kernels add it, so the
-// explored/allocated ratio measures what on-the-fly construction saved).
+// State pairs the reachable-only product worklists actually materialized.
 inline constexpr char kDfaProductStatesExplored[] =
     "dfa.product_states_explored";
-inline constexpr char kDfaProductStatesAllocated[] =
-    "dfa.product_states_allocated";
 // Emptiness/universality deciders that stopped a worklist before exhausting
 // the reachable pair space (first accepting pair found).
 inline constexpr char kDfaEarlyExits[] = "dfa.early_exits";
@@ -89,10 +84,8 @@ inline constexpr char kDfaClassesTotal[] = "dfa.classes_total";
 inline constexpr char kDfaTableBytesCondensed[] = "dfa.table_bytes_condensed";
 inline constexpr char kDfaTableBytesDenseEquiv[] =
     "dfa.table_bytes_dense_equiv";
-// Per-state transition computations the product kernels performed: the
-// condensed kernel pays one per joint class, the dense baseline one per raw
-// letter, so condensed/dense on the same workload measures saved inner-loop
-// work.
+// Per-state transition computations the product worklists performed: one
+// per joint symbol class of the two operands for each materialized pair.
 inline constexpr char kDfaProductTransitions[] =
     "dfa.product_transitions_computed";
 // Thread-pool traffic (src/base/thread_pool): tasks submitted, and the

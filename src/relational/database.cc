@@ -128,7 +128,11 @@ std::vector<std::string> Database::ActiveDomain() const {
 
 size_t Database::MaxAdomLength() const {
   size_t best = 0;
-  for (const std::string& s : ActiveDomain()) best = std::max(best, s.size());
+  for (const auto& [name, rel] : relations_) {
+    for (const Tuple& t : rel.tuples()) {
+      for (const std::string& s : t) best = std::max(best, s.size());
+    }
+  }
   return best;
 }
 

@@ -5,6 +5,7 @@
 #include "automata/ops.h"
 #include "base/rng.h"
 #include "base/string_ops.h"
+#include "oracle/language_oracle.h"
 
 namespace strq {
 namespace {
@@ -395,23 +396,25 @@ TEST(DfaClassTest, PartitionIsCoarsestOnRandomCorpus) {
   }
 }
 
-// Minimization under the dense letter-indexed kernel and the condensed
-// class-indexed kernel must produce bit-identical canonical automata.
-TEST(DfaClassTest, MinimizeDifferentialCondensedVsDense) {
+// Minimization against the word oracle: the result accepts the same words
+// up to length L (and exactly the same language: no reachable pair of the
+// naive product disagrees), and it is minimal by the textbook pair-marking
+// table — every state reachable, every two states distinguishable — which
+// shares no code with either Hopcroft or the Moore reference.
+TEST(DfaTest, MinimizedMatchesWordOracleAndIsMinimal) {
   Rng rng(777);
   for (int trial = 0; trial < 200; ++trial) {
-    Dfa d = RandomDfa(rng, rng.NextInt(1, 4), rng.NextInt(1, 20));
-    Dfa condensed = [&] {
-      ScopedClassKernel kernel(ClassKernel::kCondensed);
-      return d.Minimized();
-    }();
-    Dfa dense = [&] {
-      ScopedClassKernel kernel(ClassKernel::kDense);
-      return d.Minimized();
-    }();
-    ASSERT_TRUE(condensed.StructurallyEqual(dense)) << "trial " << trial;
-    ASSERT_EQ(condensed.StructuralHash(), dense.StructuralHash());
-    EXPECT_EQ(condensed.num_classes(), dense.num_classes());
+    int k = rng.NextInt(1, 4);
+    Dfa d = RandomDfa(rng, k, rng.NextInt(1, 20));
+    oracle::PlainDfa before = oracle::ToPlain(d);
+    oracle::PlainDfa after = oracle::ToPlain(d.Minimized());
+    for (const oracle::Word& w : oracle::WordsUpTo(k, k <= 2 ? 8 : 5)) {
+      ASSERT_EQ(after.Accepts(w), before.Accepts(w)) << "trial " << trial;
+    }
+    EXPECT_TRUE(oracle::IsEmpty(oracle::NaiveProduct(
+        before, after, [](bool x, bool y) { return x != y; })))
+        << "trial " << trial;
+    EXPECT_TRUE(oracle::IsMinimal(after)) << "trial " << trial;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "base/rng.h"
 #include "base/string_ops.h"
 #include "obs/trace.h"
+#include "oracle/language_oracle.h"
 
 namespace strq {
 namespace {
@@ -147,25 +148,11 @@ Dfa MinLengthDfa(int n) {
   return *std::move(dfa);
 }
 
-TEST(OpsTest, EagerProductOverflowBoundaryIsAnError) {
-  // 50001 * 50001 overflows 32-bit int; the eager kernel must report the
-  // budget violation via 64-bit arithmetic instead of wrapping (the wrapped
-  // value was negative, which used to slip past the guard and then feed a
-  // negative size downstream).
-  Dfa a = MinLengthDfa(50000);
-  Dfa b = MinLengthDfa(50000);
-  ScopedProductKernel eager(ProductKernel::kEager);
-  Result<Dfa> prod = Intersect(a, b);
-  ASSERT_FALSE(prod.ok());
-  EXPECT_EQ(prod.status().code(), StatusCode::kResourceExhausted);
-}
-
 TEST(OpsTest, ReachableKernelSucceedsWhereEagerExhausts) {
-  // Same operands as the overflow test: the reachable core is just the
-  // diagonal (~50001 pairs), far under the default budget.
+  // The full pair space (~2.5e9) exceeds the default budget, but the
+  // reachable core is just the diagonal (~50001 pairs), far under it.
   Dfa a = MinLengthDfa(50000);
   Dfa b = MinLengthDfa(49999);
-  ScopedProductKernel reachable(ProductKernel::kReachable);
   Result<Dfa> prod = Intersect(a, b);
   ASSERT_TRUE(prod.ok()) << prod.status();
   EXPECT_LE(prod->num_states(), 50002);
@@ -178,7 +165,6 @@ TEST(OpsTest, ReachableKernelSucceedsWhereEagerExhausts) {
 TEST(OpsTest, ReachableKernelRespectsExplicitBudget) {
   Dfa a = MinLengthDfa(100);
   Dfa b = MinLengthDfa(100);
-  ScopedProductKernel reachable(ProductKernel::kReachable);
   Result<Dfa> prod = Intersect(a, b, /*max_states=*/16);
   ASSERT_FALSE(prod.ok());
   EXPECT_EQ(prod.status().code(), StatusCode::kResourceExhausted);
@@ -221,81 +207,12 @@ Dfa RandomDfa(Rng& rng) {
   return *std::move(dfa);
 }
 
-// Differential fuzz (kernel equivalence): the reachable-only worklist kernel
-// and the retained eager kernel must build language-identical products, and
-// the early-exit deciders must agree with the materialize-then-test answers.
-TEST(OpsTest, DifferentialFuzzReachableVsEagerKernels) {
-  Rng rng(20260806);
-  for (int iter = 0; iter < 200; ++iter) {
-    Dfa a = RandomDfa(rng);
-    Dfa b = RandomDfa(rng);
-    ScopedProductKernel reachable(ProductKernel::kReachable);
-    Result<Dfa> ri = Intersect(a, b);
-    Result<Dfa> ru = Union(a, b);
-    Result<Dfa> rd = Difference(a, b);
-    Result<bool> rempty = IntersectionEmpty(a, b);
-    ASSERT_TRUE(ri.ok() && ru.ok() && rd.ok() && rempty.ok());
-    {
-      ScopedProductKernel eager(ProductKernel::kEager);
-      Result<Dfa> ei = Intersect(a, b);
-      Result<Dfa> eu = Union(a, b);
-      Result<Dfa> ed = Difference(a, b);
-      ASSERT_TRUE(ei.ok() && eu.ok() && ed.ok());
-      for (const std::string& s : AllStringsUpToLength("01", 6)) {
-        EXPECT_EQ(ri->AcceptsString(kBin, s), ei->AcceptsString(kBin, s))
-            << "intersect at iter " << iter << " on " << s;
-        EXPECT_EQ(ru->AcceptsString(kBin, s), eu->AcceptsString(kBin, s))
-            << "union at iter " << iter << " on " << s;
-        EXPECT_EQ(rd->AcceptsString(kBin, s), ed->AcceptsString(kBin, s))
-            << "difference at iter " << iter << " on " << s;
-      }
-      EXPECT_EQ(*rempty, ei->IsEmpty()) << "emptiness at iter " << iter;
-    }
-    // The reachable product never materializes more states than eager.
-    EXPECT_LE(ri->num_states(),
-              static_cast<int64_t>(a.num_states()) * b.num_states());
-  }
-}
-
-// Differential fuzz (store-id equality): the raw product of each kernel,
-// interned into one hash-consing store, must land on the same canonical id.
-// Interning canonically minimizes, so ids collide iff the two kernels built
-// language-identical automata — the strongest equality check available.
-// (Interning directly, rather than through store.Intersect, bypasses the
-// computed table so both kernels genuinely run.)
-TEST(OpsTest, KernelsProduceIdenticalCanonicalStoreIds) {
-  Rng rng(987654321);
-  AutomatonStore store(true);
-  for (int iter = 0; iter < 100; ++iter) {
-    Dfa a = RandomDfa(rng);
-    Dfa b = RandomDfa(rng);
-    Result<Dfa> pr = InternalError("op not run");
-    Result<Dfa> pe = InternalError("op not run");
-    {
-      ScopedProductKernel reachable(ProductKernel::kReachable);
-      pr = (iter % 3 == 0)   ? Intersect(a, b)
-           : (iter % 3 == 1) ? Union(a, b)
-                             : Difference(a, b);
-    }
-    {
-      ScopedProductKernel eager(ProductKernel::kEager);
-      pe = (iter % 3 == 0)   ? Intersect(a, b)
-           : (iter % 3 == 1) ? Union(a, b)
-                             : Difference(a, b);
-    }
-    ASSERT_TRUE(pr.ok() && pe.ok());
-    EXPECT_EQ(store.Intern(*pr).id(), store.Intern(*pe).id()) << iter;
-  }
-}
-
-// Random DFA over a richer alphabet whose letters are drawn from a small
+// Random DFA over a k-letter alphabet whose letters are drawn from a small
 // pool of base columns, so duplicated columns — and hence nontrivial symbol
-// classes — are guaranteed and the condensed kernels get real work.
-Dfa RandomClassyDfa(Rng& rng, int* alphabet_size) {
+// classes — are likely and the class-indexed kernels get real work.
+Dfa RandomClassyDfa(Rng& rng, int k) {
   int n = 1 + static_cast<int>(rng.NextBelow(8));
   int kb = 1 + static_cast<int>(rng.NextBelow(3));
-  int k = kb + static_cast<int>(rng.NextBelow(5));
-  *alphabet_size = k;
   std::vector<std::vector<int>> base(kb, std::vector<int>(n));
   for (auto& col : base) {
     for (int& t : col) t = static_cast<int>(rng.NextBelow(n));
@@ -313,67 +230,111 @@ Dfa RandomClassyDfa(Rng& rng, int* alphabet_size) {
   return *std::move(dfa);
 }
 
-// Differential fuzz (class-kernel equivalence): the condensed joint-
-// refinement kernels and the dense letter-indexed kernels must build
-// *bit-identical* automata — storage is canonically condensed either way, so
-// this is structural equality, not merely language equality — and interning
-// both results into one hash-consing store must land on the same canonical
-// id. Covers products (intersect/union/difference), the emptiness early
-// exit, and minimization, on alphabets with duplicated columns.
+// Checks every product operation on (a, b) against the word oracle: on each
+// word up to max_len the result must accept exactly combine(A(w), B(w)), and
+// the emptiness/equivalence/inclusion deciders must agree with reachability
+// in the oracle's naive |A|x|B| product.
+void ExpectProductsMatchOracle(const Dfa& a, const Dfa& b, int max_len,
+                               int iter) {
+  const auto both = [](bool x, bool y) { return x && y; };
+  const auto only_a = [](bool x, bool y) { return x && !y; };
+  const auto differ = [](bool x, bool y) { return x != y; };
+  oracle::PlainDfa pa = oracle::ToPlain(a);
+  oracle::PlainDfa pb = oracle::ToPlain(b);
+  Result<Dfa> inter = Intersect(a, b);
+  Result<Dfa> uni = Union(a, b);
+  Result<Dfa> diff = Difference(a, b);
+  ASSERT_TRUE(inter.ok() && uni.ok() && diff.ok()) << iter;
+  oracle::PlainDfa pi = oracle::ToPlain(*inter);
+  oracle::PlainDfa pu = oracle::ToPlain(*uni);
+  oracle::PlainDfa pd = oracle::ToPlain(*diff);
+  oracle::PlainDfa pc = oracle::ToPlain(a.Complemented());
+  for (const oracle::Word& w : oracle::WordsUpTo(pa.k, max_len)) {
+    bool in_a = pa.Accepts(w);
+    bool in_b = pb.Accepts(w);
+    ASSERT_EQ(pi.Accepts(w), in_a && in_b) << "intersect, iter " << iter;
+    ASSERT_EQ(pu.Accepts(w), in_a || in_b) << "union, iter " << iter;
+    ASSERT_EQ(pd.Accepts(w), in_a && !in_b) << "difference, iter " << iter;
+    ASSERT_EQ(pc.Accepts(w), !in_a) << "complement, iter " << iter;
+  }
+
+  Result<bool> empty = IntersectionEmpty(a, b);
+  Result<bool> equivalent = Equivalent(a, b);
+  Result<bool> subset = Subset(a, b);
+  ASSERT_TRUE(empty.ok() && equivalent.ok() && subset.ok()) << iter;
+  EXPECT_EQ(*empty, oracle::IsEmpty(oracle::NaiveProduct(pa, pb, both)))
+      << iter;
+  EXPECT_EQ(*equivalent, oracle::IsEmpty(oracle::NaiveProduct(pa, pb, differ)))
+      << iter;
+  EXPECT_EQ(*subset, oracle::IsEmpty(oracle::NaiveProduct(pa, pb, only_a)))
+      << iter;
+}
+
+// The reachable product kernel against the eager full product, which now
+// lives only in the oracle as NaiveProduct.
+TEST(OpsTest, DifferentialFuzzReachableVsEagerKernels) {
+  Rng rng(20260806);
+  for (int iter = 0; iter < 200; ++iter) {
+    Dfa a = RandomDfa(rng);
+    Dfa b = RandomDfa(rng);
+    ASSERT_NO_FATAL_FAILURE(ExpectProductsMatchOracle(a, b, 8, iter));
+    // The reachable product never materializes more states than eager.
+    Result<Dfa> inter = Intersect(a, b);
+    ASSERT_TRUE(inter.ok());
+    EXPECT_LE(inter->num_states(),
+              static_cast<int64_t>(a.num_states()) * b.num_states());
+  }
+}
+
+// The condensed class kernels against the oracle's dense product, which
+// steps every letter on its own. Operands over richer alphabets with
+// duplicated columns give the joint-class refinement of two different
+// partitions real work.
 TEST(OpsTest, DifferentialFuzzCondensedVsDenseClassKernels) {
   Rng rng(20260807);
-  AutomatonStore store(true);
   for (int iter = 0; iter < 200; ++iter) {
-    int k = 0;
-    Dfa a = RandomClassyDfa(rng, &k);
-    int kb = 0;
-    Dfa b = RandomClassyDfa(rng, &kb);
-    // Products need matching alphabets; rebuild b over a's alphabet by
-    // cycling its letter map.
-    {
-      std::vector<int> next(static_cast<size_t>(b.num_states()) * k);
-      std::vector<bool> accepting(b.num_states());
-      for (int q = 0; q < b.num_states(); ++q) {
-        accepting[q] = b.IsAccepting(q);
-        for (int s = 0; s < k; ++s) {
-          next[static_cast<size_t>(q) * k + s] =
-              b.Next(q, static_cast<Symbol>(s % b.alphabet_size()));
-        }
-      }
-      Result<Dfa> rb = Dfa::CreateFlat(k, b.num_states(), b.start(),
-                                       std::move(next), std::move(accepting));
-      ASSERT_TRUE(rb.ok());
-      b = *std::move(rb);
+    const int k = 1 + static_cast<int>(rng.NextBelow(6));
+    Dfa a = RandomClassyDfa(rng, k);
+    Dfa b = RandomClassyDfa(rng, k);
+    const int max_len = k <= 2 ? 8 : 4;
+    ASSERT_NO_FATAL_FAILURE(ExpectProductsMatchOracle(a, b, max_len, iter));
+    oracle::PlainDfa pa = oracle::ToPlain(a);
+    oracle::PlainDfa pm = oracle::ToPlain(a.Minimized());
+    for (const oracle::Word& w : oracle::WordsUpTo(k, max_len)) {
+      ASSERT_EQ(pm.Accepts(w), pa.Accepts(w)) << "minimize, iter " << iter;
     }
-    Result<Dfa> ci = InternalError("op not run");
-    Result<Dfa> cu = InternalError("op not run");
-    Result<Dfa> cd = InternalError("op not run");
-    Result<bool> cempty = InternalError("op not run");
-    Dfa cmin = Dfa::EmptyLanguage(1);
-    {
-      ScopedClassKernel kernel(ClassKernel::kCondensed);
-      ci = Intersect(a, b);
-      cu = Union(a, b);
-      cd = Difference(a, b);
-      cempty = IntersectionEmpty(a, b);
-      cmin = a.Minimized();
-    }
-    ScopedClassKernel kernel(ClassKernel::kDense);
-    Result<Dfa> di = Intersect(a, b);
-    Result<Dfa> du = Union(a, b);
-    Result<Dfa> dd = Difference(a, b);
-    Result<bool> dempty = IntersectionEmpty(a, b);
-    Dfa dmin = a.Minimized();
-    ASSERT_TRUE(ci.ok() && cu.ok() && cd.ok() && cempty.ok());
-    ASSERT_TRUE(di.ok() && du.ok() && dd.ok() && dempty.ok());
-    ASSERT_TRUE(ci->StructurallyEqual(*di)) << "intersect at iter " << iter;
-    ASSERT_TRUE(cu->StructurallyEqual(*du)) << "union at iter " << iter;
-    ASSERT_TRUE(cd->StructurallyEqual(*dd)) << "difference at iter " << iter;
-    ASSERT_TRUE(cmin.StructurallyEqual(dmin)) << "minimize at iter " << iter;
-    EXPECT_EQ(*cempty, *dempty) << "emptiness at iter " << iter;
-    EXPECT_EQ(store.Intern(*ci).id(), store.Intern(*di).id()) << iter;
-    EXPECT_EQ(store.Intern(*cu).id(), store.Intern(*du).id()) << iter;
-    EXPECT_EQ(store.Intern(cmin).id(), store.Intern(dmin).id()) << iter;
+  }
+}
+
+// The naive product, interned through Dfa::Create, must land on the kernel
+// result's canonical id: intern id equality is language equality. Interning
+// bypasses the computed table, so the two meet only through their canonical
+// minimal forms.
+TEST(OpsTest, KernelsProduceIdenticalCanonicalStoreIds) {
+  Rng rng(987654321);
+  AutomatonStore store(true);
+  const auto both = [](bool x, bool y) { return x && y; };
+  const auto either = [](bool x, bool y) { return x || y; };
+  const auto only_a = [](bool x, bool y) { return x && !y; };
+  for (int iter = 0; iter < 100; ++iter) {
+    const bool binary = iter % 2 == 0;
+    const int k = binary ? 2 : 1 + static_cast<int>(rng.NextBelow(6));
+    Dfa a = binary ? RandomDfa(rng) : RandomClassyDfa(rng, k);
+    Dfa b = binary ? RandomDfa(rng) : RandomClassyDfa(rng, k);
+    oracle::PlainDfa pa = oracle::ToPlain(a);
+    oracle::PlainDfa pb = oracle::ToPlain(b);
+    Result<Dfa> kernel = (iter % 3 == 0)   ? Intersect(a, b)
+                         : (iter % 3 == 1) ? Union(a, b)
+                                           : Difference(a, b);
+    oracle::PlainDfa naive =
+        (iter % 3 == 0)   ? oracle::NaiveProduct(pa, pb, both)
+        : (iter % 3 == 1) ? oracle::NaiveProduct(pa, pb, either)
+                          : oracle::NaiveProduct(pa, pb, only_a);
+    ASSERT_TRUE(kernel.ok()) << iter;
+    Result<Dfa> d = Dfa::Create(naive.k, naive.start, naive.next,
+                                naive.accepting);
+    ASSERT_TRUE(d.ok()) << d.status();
+    EXPECT_EQ(store.Intern(*kernel).id(), store.Intern(*d).id()) << iter;
   }
 }
 

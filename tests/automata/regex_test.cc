@@ -79,7 +79,7 @@ TEST(RegexTest, ParseErrors) {
 }
 
 TEST(RegexTest, RegexToStringRoundTrips) {
-  for (const std::string& pattern :
+  for (const char* pattern :
        {"(0|1)*", "0*1", "0+1?", "(01|10)*", "."}) {
     Result<RegexPtr> rx = ParseRegex(pattern);
     ASSERT_TRUE(rx.ok()) << pattern;

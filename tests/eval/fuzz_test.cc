@@ -297,7 +297,9 @@ TEST(FuzzRoundTripTest, PrintParseEvaluate) {
     EXPECT_EQ(printed, ToString(*reparsed));
     Result<bool> v1 = engine.EvaluateSentence(f);
     Result<bool> v2 = engine.EvaluateSentence(*reparsed);
-    if (v1.ok() && v2.ok()) EXPECT_EQ(*v1, *v2) << printed;
+    if (v1.ok() && v2.ok()) {
+      EXPECT_EQ(*v1, *v2) << printed;
+    }
   }
 }
 

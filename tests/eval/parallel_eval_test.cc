@@ -28,11 +28,11 @@ FormulaPtr Q(const std::string& text) {
 Database WideDb() {
   Database db(Alphabet::Binary());
   std::vector<Tuple> r, s;
-  for (const std::string& a : {"0", "1", "00", "01", "10", "11", "010",
+  for (const char* a : {"0", "1", "00", "01", "10", "11", "010",
                                "101", "0110", "1001"}) {
     r.push_back({a});
   }
-  for (const std::string& a : {"01", "10", "110", "011", "0101"}) {
+  for (const char* a : {"01", "10", "110", "011", "0101"}) {
     s.push_back({a});
   }
   EXPECT_TRUE(db.AddRelation("R", 1, std::move(r)).ok());

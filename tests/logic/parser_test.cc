@@ -141,6 +141,12 @@ TEST(ParserTest, NestingLimitRefusesDeepInput) {
       repeat("exists y. ", 10000) + "R(x)",
       repeat("R(x) -> ", 10000) + "R(x)",
       "R(" + repeat("append[1](", 10000) + "x" + repeat(")", 10001),
+      // Flat chains nest one AST level per link.
+      repeat("R(x) | ", 30000) + "R(x)",
+      repeat("R(x) & ", 30000) + "R(x)",
+      repeat("R(x) <-> ", 30000) + "R(x)",
+      // A chain whose first operand is already deep.
+      "(" + repeat("!", 600) + "R(x))" + repeat(" | R(x)", 600),
   };
   for (const std::string& input : deep) {
     Result<FormulaPtr> r = ParseFormula(input);
@@ -151,6 +157,9 @@ TEST(ParserTest, NestingLimitRefusesDeepInput) {
   EXPECT_TRUE(
       ParseFormula(repeat("(", 200) + "R(x)" + repeat(")", 200)).ok());
   EXPECT_TRUE(ParseFormula(repeat("!", 200) + "R(x)").ok());
+  EXPECT_TRUE(ParseFormula(repeat("R(x) | ", 500) + "R(x)").ok());
+  EXPECT_TRUE(ParseFormula(repeat("R(x) & ", 500) + "R(x)").ok());
+  EXPECT_TRUE(ParseFormula(repeat("R(x) <-> ", 500) + "R(x)").ok());
 }
 
 TEST(ParserTest, ParseTermStandalone) {

@@ -98,7 +98,7 @@ TEST(SimplifyTest, PreservesSemanticsOnBatteries) {
 }
 
 TEST(SimplifyTest, IdempotentOnItsOutput) {
-  for (const std::string& q : {
+  for (const char* q : {
            "exists x. R(x) & ('a' = 'a' | last[1](x))",
            "forall x. !(!(x = x))",
            "x = y & (true -> y = x)",

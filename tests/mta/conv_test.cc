@@ -132,7 +132,9 @@ TEST(ConvTest, EncodeDecodeRoundTripAtSymbolBoundary) {
         ASSERT_EQ(c->DigitAt(replaced, t), d);
         // Other tracks untouched.
         for (int u = 0; u < c->arity(); ++u) {
-          if (u != t) ASSERT_EQ(c->DigitAt(replaced, u), digits[u]);
+          if (u != t) {
+            ASSERT_EQ(c->DigitAt(replaced, u), digits[u]);
+          }
         }
       }
     }

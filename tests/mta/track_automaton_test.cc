@@ -7,6 +7,7 @@
 #include "base/rng.h"
 #include "base/string_ops.h"
 #include "mta/atoms.h"
+#include "oracle/language_oracle.h"
 
 namespace strq {
 namespace {
@@ -285,106 +286,132 @@ TEST(TrackAutomatonTest, EnumerateTuplesDecodes) {
   }
 }
 
-// The class-aware ValidConvolutions construction (one class per pad-mask)
-// must agree bit-for-bit with the dense letter loop at every arity, and its
-// partition can never be finer than the 2^arity pad-masks.
-TEST(TrackAutomatonClassTest, ValidConvolutionsKernelsAgree) {
-  for (int arity = 0; arity <= 4; ++arity) {
+// ValidConvolutions against the word oracle at arities 0..3: every word of
+// up to L columns is accepted iff, decoded column by column, it is a
+// canonical convolution (pads form a suffix on each track, no all-pad
+// column). The pad-mask partition can never be finer than 2^arity classes.
+TEST(TrackAutomatonTest, ValidConvolutionsMatchWordOracle) {
+  for (int arity = 0; arity <= 3; ++arity) {
     Result<ConvAlphabet> conv = ConvAlphabet::Create(2, arity);
     ASSERT_TRUE(conv.ok());
-    Result<Dfa> condensed = InternalError("not run");
-    {
-      ScopedClassKernel kernel(ClassKernel::kCondensed);
-      condensed = TrackAutomaton::ValidConvolutions(*conv);
+    Result<Dfa> valid = TrackAutomaton::ValidConvolutions(*conv);
+    ASSERT_TRUE(valid.ok());
+    EXPECT_LE(valid->num_classes(), 1 << arity);
+    oracle::PlainDfa plain = oracle::ToPlain(*valid);
+    const int max_len = arity <= 2 ? 4 : 3;
+    for (const oracle::Word& w :
+         oracle::WordsUpTo(conv->num_letters(), max_len)) {
+      std::vector<std::vector<int>> columns;
+      for (int letter : w) {
+        columns.push_back(conv->Decode(static_cast<Symbol>(letter)));
+      }
+      ASSERT_EQ(plain.Accepts(w),
+                oracle::IsCanonicalConvolution(columns, arity, conv->pad()))
+          << "arity " << arity;
     }
-    Result<Dfa> dense = InternalError("not run");
-    {
-      ScopedClassKernel kernel(ClassKernel::kDense);
-      dense = TrackAutomaton::ValidConvolutions(*conv);
-    }
-    ASSERT_TRUE(condensed.ok());
-    ASSERT_TRUE(dense.ok());
-    EXPECT_TRUE(condensed->StructurallyEqual(*dense)) << "arity " << arity;
-    EXPECT_EQ(condensed->StructuralHash(), dense->StructuralHash());
-    EXPECT_LE(condensed->num_classes(), 1 << arity);
   }
 }
 
-// Differential fuzz over the first-order pipeline: random finite relations
-// are intersected (which cylindrifies internally), explicitly cylindrified
-// and projected back, projected, and renamed — once under the condensed
-// class-indexed kernels, once under the dense letter-indexed ones, each
-// against its own store so no memoized result can leak across modes. The
-// canonically-minimized results must be bit-identical, land on the same
-// canonical id in a shared store, and enumerate the same tuples.
-TEST(TrackAutomatonClassTest, FirstOrderOpsCondensedVsDenseFuzz) {
+oracle::Relation ToOracle(const TrackAutomaton& rel) {
+  Result<std::vector<std::vector<std::string>>> tuples = rel.AllTuples();
+  EXPECT_TRUE(tuples.ok()) << tuples.status();
+  return {rel.vars(), {tuples->begin(), tuples->end()}};
+}
+
+// The first-order track operations against explicit tuple sets: random
+// finite relations are intersected (a natural join, cylindrifying
+// internally), projected, renamed by a genuine track permutation, and
+// cylindrified by a fresh variable and projected back; each result must
+// enumerate exactly the tuples the same operation yields on
+// std::set<std::vector<std::string>>. Membership in the cylindrified
+// relation is checked directly with the fresh column ranging over Σ^{≤3}, so
+// fresh words longer and shorter than the embedded ones are both covered.
+TEST(TrackAutomatonTest, FirstOrderOpsMatchTupleOracle) {
   Rng rng(20260808);
-  AutomatonStore id_store(true);
+  const std::vector<std::string> fresh_values = oracle::StringsUpTo("01", 3);
   for (int iter = 0; iter < 200; ++iter) {
+    AutomatonStore store(true);
     const VarId pool[] = {0, 2, 4};
     int arity1 = rng.NextInt(1, 3);
     int arity2 = rng.NextInt(1, 3);
-    std::vector<VarId> vars1(pool, pool + arity1);
     // Overlapping but not identical variable sets exercise alignment.
-    std::vector<VarId> vars2(pool + (3 - arity2), pool + 3);
-    auto random_tuples = [&](int arity) {
-      std::vector<std::vector<std::string>> tuples(rng.NextInt(1, 5));
-      for (auto& tuple : tuples) {
-        for (int t = 0; t < arity; ++t) {
+    oracle::Relation o1{{pool, pool + arity1}, {}};
+    oracle::Relation o2{{pool + (3 - arity2), pool + 3}, {}};
+    for (oracle::Relation* o : {&o1, &o2}) {
+      for (int i = rng.NextInt(1, 5); i > 0; --i) {
+        oracle::Tuple tuple;
+        for (size_t t = 0; t < o->vars.size(); ++t) {
           tuple.push_back(rng.NextString("01", 0, 3));
         }
+        o->tuples.insert(std::move(tuple));
       }
-      return tuples;
+    }
+    auto load = [&](const oracle::Relation& o) {
+      Result<TrackAutomaton> r = TrackAutomaton::FromTuples(
+          store, kBin, o.vars, {o.tuples.begin(), o.tuples.end()});
+      EXPECT_TRUE(r.ok()) << r.status();
+      return *std::move(r);
     };
-    std::vector<std::vector<std::string>> tuples1 = random_tuples(arity1);
-    std::vector<std::vector<std::string>> tuples2 = random_tuples(arity2);
-    std::vector<VarId> joint;
-    std::set_union(vars1.begin(), vars1.end(), vars2.begin(), vars2.end(),
-                   std::back_inserter(joint));
-    VarId project_var = joint[static_cast<size_t>(rng.NextInt(
-        0, static_cast<int>(joint.size()) - 1))];
-    AutomatonStore cstore(true);
-    AutomatonStore dstore(true);
-    auto run = [&](ClassKernel mode,
-                   const AutomatonStore& store) -> Result<TrackAutomaton> {
-      ScopedClassKernel kernel(mode);
-      STRQ_ASSIGN_OR_RETURN(
-          TrackAutomaton r1,
-          TrackAutomaton::FromTuples(store, kBin, vars1, tuples1));
-      STRQ_ASSIGN_OR_RETURN(
-          TrackAutomaton r2,
-          TrackAutomaton::FromTuples(store, kBin, vars2, tuples2));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton both,
-                            TrackAutomaton::Intersect(r1, r2));
-      // Round trip through an added unconstrained track.
-      std::vector<VarId> up = joint;
-      up.push_back(9);
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton cyl, both.Cylindrified(up));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton back, cyl.Project(9));
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton proj, back.Project(project_var));
-      // Reverse the remaining variable order: a genuine track permutation
-      // (a single remaining variable degenerates to the label-only path).
-      std::map<VarId, VarId> renaming;
-      for (size_t i = 0; i < proj.vars().size(); ++i) {
-        renaming[proj.vars()[i]] =
-            proj.vars()[proj.vars().size() - 1 - i];
+    TrackAutomaton r1 = load(o1);
+    TrackAutomaton r2 = load(o2);
+    ASSERT_EQ(ToOracle(r1).tuples, o1.tuples) << iter;
+
+    oracle::Relation joined = oracle::Join(o1, o2);
+    Result<TrackAutomaton> both = TrackAutomaton::Intersect(r1, r2);
+    ASSERT_TRUE(both.ok()) << both.status();
+    ASSERT_EQ(both->vars(), joined.vars) << iter;
+    ASSERT_EQ(ToOracle(*both).tuples, joined.tuples) << "intersect, " << iter;
+
+    VarId project_var = joined.vars[rng.NextBelow(joined.vars.size())];
+    oracle::Relation projected = oracle::Project(joined, project_var);
+    Result<TrackAutomaton> proj = both->Project(project_var);
+    ASSERT_TRUE(proj.ok()) << proj.status();
+    ASSERT_EQ(proj->vars(), projected.vars) << iter;
+    ASSERT_EQ(ToOracle(*proj).tuples, projected.tuples) << "project, " << iter;
+
+    // Reverse the remaining variable order: a genuine track permutation
+    // (a single remaining variable degenerates to the label-only path).
+    std::map<VarId, VarId> renaming;
+    for (size_t i = 0; i < projected.vars.size(); ++i) {
+      renaming[projected.vars[i]] =
+          projected.vars[projected.vars.size() - 1 - i];
+    }
+    oracle::Relation renamed = oracle::Rename(projected, renaming);
+    Result<TrackAutomaton> ren = proj->Renamed(renaming);
+    ASSERT_TRUE(ren.ok()) << ren.status();
+    ASSERT_EQ(ren->vars(), renamed.vars) << iter;
+    ASSERT_EQ(ToOracle(*ren).tuples, renamed.tuples) << "rename, " << iter;
+
+    // A fresh variable below, between or above the joined ones.
+    const VarId fresh_pool[] = {1, 3, 9};
+    VarId fresh = fresh_pool[rng.NextBelow(3)];
+    std::vector<VarId> up = joined.vars;
+    up.insert(std::upper_bound(up.begin(), up.end(), fresh), fresh);
+    size_t fresh_col = std::find(up.begin(), up.end(), fresh) - up.begin();
+    Result<TrackAutomaton> cyl = both->Cylindrified(up);
+    ASSERT_TRUE(cyl.ok()) << cyl.status();
+    Result<TrackAutomaton> back = cyl->Project(fresh);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ASSERT_EQ(ToOracle(*back).tuples, joined.tuples) << "round trip, " << iter;
+    // Members of the join and near misses (a member with one column
+    // changed), each with every fresh value inserted.
+    std::vector<oracle::Tuple> probes(joined.tuples.begin(),
+                                      joined.tuples.end());
+    for (const oracle::Tuple& t : joined.tuples) {
+      oracle::Tuple miss = t;
+      miss[rng.NextBelow(miss.size())] += "1";
+      probes.push_back(std::move(miss));
+    }
+    for (const oracle::Tuple& t : probes) {
+      bool member = joined.tuples.count(t) > 0;
+      for (const std::string& v : fresh_values) {
+        oracle::Tuple wide = t;
+        wide.insert(wide.begin() + fresh_col, v);
+        Result<bool> in = cyl->Contains(wide);
+        ASSERT_TRUE(in.ok()) << in.status();
+        ASSERT_EQ(*in, member) << "cylindrify, " << iter;
       }
-      return proj.Renamed(renaming);
-    };
-    Result<TrackAutomaton> c = run(ClassKernel::kCondensed, cstore);
-    Result<TrackAutomaton> d = run(ClassKernel::kDense, dstore);
-    ASSERT_TRUE(c.ok()) << iter << ": " << c.status();
-    ASSERT_TRUE(d.ok()) << iter << ": " << d.status();
-    ASSERT_EQ(c->vars(), d->vars()) << iter;
-    ASSERT_TRUE(c->dfa().StructurallyEqual(d->dfa())) << "iter " << iter;
-    ASSERT_EQ(c->dfa().StructuralHash(), d->dfa().StructuralHash());
-    EXPECT_EQ(c->NumClasses(), d->NumClasses());
-    EXPECT_EQ(id_store.Intern(c->dfa()).id(), id_store.Intern(d->dfa()).id())
-        << iter;
-    Result<std::vector<std::vector<std::string>>> ct = c->AllTuples();
-    Result<std::vector<std::vector<std::string>>> dt = d->AllTuples();
-    ASSERT_TRUE(ct.ok() && dt.ok()) << iter;
-    EXPECT_EQ(*ct, *dt) << iter;
+    }
   }
 }
 

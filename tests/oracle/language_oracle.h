@@ -1,0 +1,265 @@
+#ifndef STRQ_TESTS_ORACLE_LANGUAGE_ORACLE_H_
+#define STRQ_TESTS_ORACLE_LANGUAGE_ORACLE_H_
+
+// An independent reference for the automaton operations: plain DFAs run by
+// their own loop, word enumeration, naive full products, textbook
+// minimality checks, canonical-convolution checks on decoded columns, and
+// first-order relational operations on explicit tuple sets. It includes only
+// the standard library, so it shares no code (and no bug) with the kernels
+// under test; tests convert library automata through the public
+// Next/IsAccepting interface alone.
+
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+namespace strq::oracle {
+
+using Word = std::vector<int>;
+
+// A complete DFA over letters 0..k-1: next[q][s] is the successor of q on s.
+struct PlainDfa {
+  int k = 0;
+  int start = 0;
+  std::vector<std::vector<int>> next;
+  std::vector<bool> accepting;
+
+  int size() const { return static_cast<int>(next.size()); }
+
+  bool Accepts(const Word& w) const {
+    int q = start;
+    for (int s : w) q = next[q][s];
+    return accepting[q];
+  }
+};
+
+// Reads any automaton exposing alphabet_size(), num_states(), start(),
+// Next(q, s) and IsAccepting(q) into a PlainDfa.
+template <typename Automaton>
+PlainDfa ToPlain(const Automaton& d) {
+  PlainDfa p;
+  p.k = d.alphabet_size();
+  p.start = d.start();
+  p.next.assign(d.num_states(), std::vector<int>(p.k));
+  p.accepting.resize(d.num_states());
+  for (int q = 0; q < d.num_states(); ++q) {
+    for (int s = 0; s < p.k; ++s) p.next[q][s] = d.Next(q, s);
+    p.accepting[q] = d.IsAccepting(q);
+  }
+  return p;
+}
+
+// Every word over letters 0..k-1 of length at most max_len, shortest first.
+inline std::vector<Word> WordsUpTo(int k, int max_len) {
+  std::vector<Word> out = {{}};
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (static_cast<int>(out[i].size()) == max_len) continue;
+    for (int s = 0; s < k; ++s) {
+      Word w = out[i];
+      w.push_back(s);
+      out.push_back(std::move(w));
+    }
+  }
+  return out;
+}
+
+// Every string over `sigma` of length at most max_len, shortest first.
+inline std::vector<std::string> StringsUpTo(const std::string& sigma,
+                                            int max_len) {
+  std::vector<std::string> out;
+  for (const Word& w : WordsUpTo(static_cast<int>(sigma.size()), max_len)) {
+    std::string s;
+    for (int c : w) s.push_back(sigma[c]);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// The full |A|x|B| product: pair (qa, qb) is state qa * |B| + qb, allocated
+// whether reachable or not, accepting iff combine(accept_a, accept_b).
+template <typename Combine>
+PlainDfa NaiveProduct(const PlainDfa& a, const PlainDfa& b, Combine combine) {
+  PlainDfa p;
+  p.k = a.k;
+  p.start = a.start * b.size() + b.start;
+  for (int qa = 0; qa < a.size(); ++qa) {
+    for (int qb = 0; qb < b.size(); ++qb) {
+      std::vector<int> row(a.k);
+      for (int s = 0; s < a.k; ++s) {
+        row[s] = a.next[qa][s] * b.size() + b.next[qb][s];
+      }
+      p.next.push_back(std::move(row));
+      p.accepting.push_back(combine(a.accepting[qa], b.accepting[qb]));
+    }
+  }
+  return p;
+}
+
+// States reachable from the start state.
+inline std::vector<bool> Reachable(const PlainDfa& d) {
+  std::vector<bool> seen(d.size(), false);
+  std::vector<int> stack = {d.start};
+  seen[d.start] = true;
+  while (!stack.empty()) {
+    int q = stack.back();
+    stack.pop_back();
+    for (int t : d.next[q]) {
+      if (!seen[t]) {
+        seen[t] = true;
+        stack.push_back(t);
+      }
+    }
+  }
+  return seen;
+}
+
+// True iff no accepting state is reachable.
+inline bool IsEmpty(const PlainDfa& d) {
+  std::vector<bool> reach = Reachable(d);
+  for (int q = 0; q < d.size(); ++q) {
+    if (reach[q] && d.accepting[q]) return false;
+  }
+  return true;
+}
+
+// Textbook table filling: distinct[p][q] iff some word leads exactly one of
+// p, q to acceptance. Start from the pairs that differ in acceptance and mark
+// (p, q) whenever some letter takes it to a marked pair, until nothing moves.
+inline std::vector<std::vector<bool>> DistinguishablePairs(const PlainDfa& d) {
+  int n = d.size();
+  std::vector<std::vector<bool>> distinct(n, std::vector<bool>(n, false));
+  for (int p = 0; p < n; ++p) {
+    for (int q = 0; q < n; ++q) {
+      distinct[p][q] = d.accepting[p] != d.accepting[q];
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int p = 0; p < n; ++p) {
+      for (int q = 0; q < n; ++q) {
+        if (distinct[p][q]) continue;
+        for (int s = 0; s < d.k; ++s) {
+          if (distinct[d.next[p][s]][d.next[q][s]]) {
+            distinct[p][q] = true;
+            changed = true;
+            break;
+          }
+        }
+      }
+    }
+  }
+  return distinct;
+}
+
+// Minimal iff every state is reachable and every two states are
+// distinguishable.
+inline bool IsMinimal(const PlainDfa& d) {
+  std::vector<bool> reach = Reachable(d);
+  if (std::find(reach.begin(), reach.end(), false) != reach.end()) return false;
+  std::vector<std::vector<bool>> distinct = DistinguishablePairs(d);
+  for (int p = 0; p < d.size(); ++p) {
+    for (int q = p + 1; q < d.size(); ++q) {
+      if (!distinct[p][q]) return false;
+    }
+  }
+  return true;
+}
+
+// Is a word of decoded columns (columns[i][t] = digit of track t at
+// position i) the canonical convolution of some tuple? Within each track the
+// pads form a suffix, and no column is all pad. With zero tracks every
+// column is all pad, so only the empty word qualifies.
+inline bool IsCanonicalConvolution(
+    const std::vector<std::vector<int>>& columns, int arity, int pad) {
+  std::vector<bool> ended(arity, false);
+  for (const std::vector<int>& col : columns) {
+    bool all_pad = true;
+    for (int t = 0; t < arity; ++t) {
+      if (col[t] == pad) {
+        ended[t] = true;
+      } else {
+        all_pad = false;
+        if (ended[t]) return false;
+      }
+    }
+    if (all_pad) return false;
+  }
+  return true;
+}
+
+// A finite relation as an explicit tuple set. `vars` is strictly increasing
+// and column i of every tuple belongs to vars[i].
+using Tuple = std::vector<std::string>;
+struct Relation {
+  std::vector<int> vars;
+  std::set<Tuple> tuples;
+};
+
+// Natural join on the shared variables; the result's variables are the
+// sorted union.
+inline Relation Join(const Relation& a, const Relation& b) {
+  Relation out;
+  std::set_union(a.vars.begin(), a.vars.end(), b.vars.begin(), b.vars.end(),
+                 std::back_inserter(out.vars));
+  auto column_of = [](const std::vector<int>& vars, int v) {
+    auto it = std::find(vars.begin(), vars.end(), v);
+    return it == vars.end() ? -1 : static_cast<int>(it - vars.begin());
+  };
+  for (const Tuple& ta : a.tuples) {
+    for (const Tuple& tb : b.tuples) {
+      Tuple joined;
+      bool agree = true;
+      for (int v : out.vars) {
+        int ia = column_of(a.vars, v);
+        int ib = column_of(b.vars, v);
+        if (ia >= 0 && ib >= 0 && ta[ia] != tb[ib]) agree = false;
+        joined.push_back(ia >= 0 ? ta[ia] : tb[ib]);
+      }
+      if (agree) out.tuples.insert(std::move(joined));
+    }
+  }
+  return out;
+}
+
+// Existential projection: drops the column of `var`.
+inline Relation Project(const Relation& r, int var) {
+  int col = static_cast<int>(std::find(r.vars.begin(), r.vars.end(), var) -
+                             r.vars.begin());
+  Relation out;
+  out.vars = r.vars;
+  out.vars.erase(out.vars.begin() + col);
+  for (Tuple t : r.tuples) {
+    t.erase(t.begin() + col);
+    out.tuples.insert(std::move(t));
+  }
+  return out;
+}
+
+// Relabels variables (unmapped ones keep their name) and reorders the
+// columns so the new variables are increasing again.
+inline Relation Rename(const Relation& r, const std::map<int, int>& renaming) {
+  std::vector<std::pair<int, int>> order;  // (new var, old column)
+  for (size_t i = 0; i < r.vars.size(); ++i) {
+    auto it = renaming.find(r.vars[i]);
+    order.emplace_back(it == renaming.end() ? r.vars[i] : it->second,
+                       static_cast<int>(i));
+  }
+  std::sort(order.begin(), order.end());
+  Relation out;
+  for (const auto& [var, col] : order) out.vars.push_back(var);
+  for (const Tuple& t : r.tuples) {
+    Tuple moved;
+    for (const auto& [var, col] : order) moved.push_back(t[col]);
+    out.tuples.insert(std::move(moved));
+  }
+  return out;
+}
+
+}  // namespace strq::oracle
+
+#endif  // STRQ_TESTS_ORACLE_LANGUAGE_ORACLE_H_

@@ -62,6 +62,9 @@ TEST(DatabaseTest, ActiveDomainAcrossRelations) {
   ASSERT_TRUE(db.AddRelation("S", 2, {{"ab", "c"}}).ok());
   EXPECT_EQ(db.ActiveDomain(), (std::vector<std::string>{"a", "ab", "c"}));
   EXPECT_EQ(db.MaxAdomLength(), 2u);
+  // The longest value sits in a later column of a later relation.
+  ASSERT_TRUE(db.AddRelation("T", 2, {{"b", "abcab"}}).ok());
+  EXPECT_EQ(db.MaxAdomLength(), 5u);
 }
 
 TEST(DatabaseTest, EmptyDatabase) {

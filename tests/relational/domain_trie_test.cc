@@ -40,7 +40,7 @@ TEST(DomainTrieTest, ContainsExactlyStoredStrings) {
   for (const std::string& s : stored) {
     EXPECT_TRUE(trie->Contains(s)) << s;
   }
-  for (const std::string& s : {"01", "11", "0101", "2", "10"}) {
+  for (const char* s : {"01", "11", "0101", "2", "10"}) {
     EXPECT_FALSE(trie->Contains(s)) << s;
   }
 }

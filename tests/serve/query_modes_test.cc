@@ -48,7 +48,7 @@ TEST(QueryModesTest, ModesAgreeWithMaterializedQuery) {
   std::sort(answers.begin(), answers.end());
 
   // Contains == membership in the full answer.
-  for (const std::string& s : {"", "0", "01", "010", "0101", "11", "110"}) {
+  for (const char* s : {"", "0", "01", "010", "0101", "11", "110"}) {
     Result<bool> has = session->Contains(f, {s});
     ASSERT_TRUE(has.ok()) << has.status();
     EXPECT_EQ(*has, std::binary_search(answers.begin(), answers.end(),
