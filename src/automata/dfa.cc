@@ -627,94 +627,105 @@ Dfa Dfa::Minimized() const {
     }
   }
 
-  // Initial partition: accepting vs rejecting (skip an empty side).
-  std::vector<int> block_of(m, 0);
-  std::vector<std::vector<int>> blocks;
-  {
-    std::vector<int> acc_states, rej_states;
+  // Refinable partition (Valmari and Lehtinen, STACS 2008). The states live
+  // in one array grouped by block: block b owns elems[first[b], end[b]),
+  // and its marked states form the prefix [first[b], mid[b]). Marking swaps
+  // a state to mid[b]++, so splitting off the marked states costs
+  // O(|marked|), never O(|block|). With the smaller-half rule below, each
+  // state lies in a processed splitter at most ⌈log₂ n⌉ + 1 times per class
+  // column, so the refinement is O(n·C·log n).
+  std::vector<int> elems(m), loc(m), block_of(m);
+  std::vector<int> first, end, mid;
+  // Initial partition: accepting, then rejecting (skip an empty side).
+  int pos = 0;
+  for (bool side : {true, false}) {
+    int begin = pos;
     for (int q = 0; q < m; ++q) {
-      (accepting[q] ? acc_states : rej_states).push_back(q);
+      if (accepting[q] != side) continue;
+      elems[pos] = q;
+      loc[q] = pos++;
+      block_of[q] = static_cast<int>(first.size());
     }
-    if (!acc_states.empty()) {
-      for (int q : acc_states) block_of[q] = static_cast<int>(blocks.size());
-      blocks.push_back(std::move(acc_states));
-    }
-    if (!rej_states.empty()) {
-      for (int q : rej_states) block_of[q] = static_cast<int>(blocks.size());
-      blocks.push_back(std::move(rej_states));
-    }
+    if (pos == begin) continue;
+    first.push_back(begin);
+    end.push_back(pos);
+    mid.push_back(begin);
   }
 
-  // Worklist of (block, column) splitters. Seeding with every pair is
-  // correct; the smaller-half rule below keeps the refinement O(n·k·log n).
-  std::deque<std::pair<int, int>> worklist;
-  std::vector<std::vector<bool>> in_worklist;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    in_worklist.emplace_back(k, true);
-    for (int s = 0; s < k; ++s) worklist.emplace_back(static_cast<int>(b), s);
+  // FIFO worklist of (block, column) splitters with a flat pending flag per
+  // pair (at most m blocks ever exist). Seeding with every pair is correct.
+  std::vector<uint8_t> pending(static_cast<size_t>(m) * k, 0);
+  std::vector<std::pair<int, int>> worklist;
+  auto push = [&](int b, int c) {
+    pending[static_cast<size_t>(b) * k + c] = 1;
+    worklist.emplace_back(b, c);
+  };
+  for (int b = 0; b < static_cast<int>(first.size()); ++b) {
+    for (int c = 0; c < k; ++c) push(b, c);
   }
 
-  std::vector<bool> marked(m, false);
-  std::vector<int> marked_states;
-  while (!worklist.empty()) {
-    auto [a, s] = worklist.front();
-    worklist.pop_front();
-    in_worklist[a][s] = false;
+  std::vector<int> preimage, touched;
+  int64_t moved = 0;
+  for (size_t head = 0; head < worklist.size(); ++head) {
+    auto [a, s] = worklist[head];
+    pending[static_cast<size_t>(a) * k + s] = 0;
 
-    // X = preimage of block a under column s.
-    marked_states.clear();
-    for (int t : blocks[a]) {
-      int lo = rev_off[static_cast<size_t>(s) * (m + 1) + t];
-      int hi = rev_off[static_cast<size_t>(s) * (m + 1) + t + 1];
-      for (int i = lo; i < hi; ++i) {
-        int q = rev[i];
-        if (!marked[q]) {
-          marked[q] = true;
-          marked_states.push_back(q);
-        }
-      }
+    // X = preimage of block a under column s, collected before any marking
+    // reorders elems (block a itself may be marked). Every state has one
+    // successor per column, so X holds no duplicates.
+    preimage.clear();
+    for (int i = first[a]; i < end[a]; ++i) {
+      size_t t = static_cast<size_t>(s) * (m + 1) + elems[i];
+      preimage.insert(preimage.end(), rev.begin() + rev_off[t],
+                      rev.begin() + rev_off[t + 1]);
     }
-    if (marked_states.empty()) continue;
 
-    // Group the marked states by their current block.
-    std::map<int, std::vector<int>> by_block;
-    for (int q : marked_states) by_block[block_of[q]].push_back(q);
+    // Mark: swap each state of X into its block's marked prefix.
+    touched.clear();
+    for (int q : preimage) {
+      int b = block_of[q];
+      if (mid[b] == first[b]) touched.push_back(b);
+      int j = mid[b]++;
+      int r = elems[j];
+      elems[loc[q]] = r;
+      loc[r] = loc[q];
+      elems[j] = q;
+      loc[q] = j;
+    }
+    moved += static_cast<int64_t>(preimage.size());
 
-    for (auto& [b, hit] : by_block) {
-      if (hit.size() == blocks[b].size()) continue;  // whole block marked
-      // Split: unmarked states keep block id b, marked move to a new block.
-      std::vector<int> rest;
-      rest.reserve(blocks[b].size() - hit.size());
-      for (int q : blocks[b]) {
-        if (!marked[q]) rest.push_back(q);
+    for (int b : touched) {
+      if (mid[b] == end[b]) {  // whole block marked: no split
+        mid[b] = first[b];
+        continue;
       }
-      int nb = static_cast<int>(blocks.size());
-      blocks[b] = std::move(rest);
-      for (int q : hit) block_of[q] = nb;
-      blocks.push_back(std::move(hit));
-      in_worklist.emplace_back(k, false);
+      // Split: the marked prefix becomes block nb, the rest keeps id b.
+      int nb = static_cast<int>(first.size());
+      first.push_back(first[b]);
+      end.push_back(mid[b]);
+      mid.push_back(first[b]);
+      first[b] = mid[b];
+      for (int i = first[nb]; i < end[nb]; ++i) block_of[elems[i]] = nb;
+      int smaller = end[b] - first[b] <= end[nb] - first[nb] ? b : nb;
       for (int c = 0; c < k; ++c) {
-        if (in_worklist[b][c]) {
+        if (pending[static_cast<size_t>(b) * k + c]) {
           // (b, c) is still pending; both halves must be processed.
-          in_worklist[nb][c] = true;
-          worklist.emplace_back(nb, c);
+          push(nb, c);
         } else {
           // Hopcroft's rule: it suffices to add the smaller half.
-          int smaller = blocks[b].size() <= blocks[nb].size() ? b : nb;
-          in_worklist[smaller][c] = true;
-          worklist.emplace_back(smaller, c);
+          push(smaller, c);
         }
       }
     }
-    for (int q : marked_states) marked[q] = false;
   }
 
-  int num_parts = static_cast<int>(blocks.size());
+  int num_parts = static_cast<int>(first.size());
   span.Attr("in_states", num_states());
   span.Attr("out_states", num_parts);
   span.Attr("classes", num_classes_);
   obs::Count(obs::kDfaMinimizations);
   obs::Count(obs::kDfaStatesBuilt, num_parts);
+  obs::Count(obs::kDfaMinimizeElementsMoved, moved);
   return CanonicalQuotient(alphabet_size_, letter_class_, k, m, start, rnext,
                            accepting, block_of, num_parts);
 }

@@ -163,10 +163,11 @@ class Dfa {
   // Language transformations (all return complete DFAs).
   Dfa Complemented() const;
 
-  // Hopcroft minimization, O(n·C·log n) over the C symbol classes. Removes
-  // unreachable states and renumbers the result canonically (BFS from the
-  // start state in class — equivalently symbol — order), so equivalent DFAs
-  // minimize to structurally identical automata.
+  // Hopcroft minimization on a refinable partition (Valmari and Lehtinen
+  // 2008), O(n·C·log n) over the C symbol classes. Removes unreachable
+  // states and renumbers the result canonically (BFS from the start state in
+  // class — equivalently symbol — order), so equivalent DFAs minimize to
+  // structurally identical automata.
   Dfa Minimized() const;
 
   // Reference Moore partition refinement (O(n²·|Σ|)), kept for differential

@@ -80,9 +80,26 @@ void IncrementalIndex::SeedDomLocked(const Database& db) {
       for (const std::string& s : t) ++counts_[s];
     }
   }
+  // One sorted pass over counts_: a key's prefixes longer than its lcp with
+  // the previous key sort after every prefix seen so far, so they append at
+  // the end of prefix_counts_; the shared ones are bumped through `path`,
+  // the entries of the previous key's prefixes by length.
+  std::vector<std::map<std::string, int64_t>::iterator> path;
+  const std::string* prev = nullptr;
   for (const auto& [s, n] : counts_) {
     (void)n;
-    for (size_t i = 0; i <= s.size(); ++i) ++prefix_counts_[s.substr(0, i)];
+    size_t shared = 0;  // prefixes of lengths 0..lcp(prev, s)
+    if (prev != nullptr) {
+      auto diff = std::mismatch(prev->begin(), prev->end(), s.begin(), s.end());
+      shared = static_cast<size_t>(diff.first - prev->begin()) + 1;
+    }
+    path.resize(shared);
+    for (auto& it : path) ++it->second;
+    for (size_t i = shared; i <= s.size(); ++i) {
+      path.push_back(
+          prefix_counts_.emplace_hint(prefix_counts_.end(), s.substr(0, i), 1));
+    }
+    prev = &s;
   }
   dom_rev_ = db.revision();
   dom_valid_ = true;

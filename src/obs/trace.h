@@ -67,6 +67,11 @@ class ScopedEnable {
 // catalogue (and what each one means) is documented in docs/OBSERVABILITY.md.
 inline constexpr char kDfaStatesBuilt[] = "dfa.states_built";
 inline constexpr char kDfaMinimizations[] = "dfa.minimizations";
+// States Minimized() swapped into a block's marked prefix: the refinement's
+// whole per-split work, bounded by C·n·(⌈log₂ n⌉ + 1) for n states over C
+// class columns, so a quadratic split shows here without any timing.
+inline constexpr char kDfaMinimizeElementsMoved[] =
+    "dfa.minimize.elements_moved";
 inline constexpr char kDfaDeterminizations[] = "dfa.determinizations";
 inline constexpr char kDfaProducts[] = "dfa.products";
 // State pairs the reachable-only product worklists actually materialized.

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "automata/ops.h"
 #include "base/rng.h"
 #include "base/string_ops.h"
+#include "obs/trace.h"
 #include "oracle/language_oracle.h"
 
 namespace strq {
@@ -343,30 +348,35 @@ TEST(DfaClassTest, CreateCondensedValidation) {
       Dfa::CreateCondensed(2, 1, 0, {0, 1}, 2, {0, 0}, {true}).ok());
 }
 
+// Random complete DFA with duplicate columns by construction: k letters
+// drawn from kb <= k distinct base columns, so nontrivial classes are
+// guaranteed.
+Result<Dfa> RandomDuplicateColumnDfa(Rng& rng, int n, int kb, int k) {
+  std::vector<std::vector<int>> base(kb, std::vector<int>(n));
+  for (auto& col : base) {
+    for (int& t : col) t = rng.NextInt(0, n - 1);
+  }
+  std::vector<int> next(static_cast<size_t>(n) * k);
+  for (int s = 0; s < k; ++s) {
+    const std::vector<int>& col = base[rng.NextInt(0, kb - 1)];
+    for (int q = 0; q < n; ++q) next[static_cast<size_t>(q) * k + s] = col[q];
+  }
+  std::vector<bool> accepting(n);
+  for (int q = 0; q < n; ++q) accepting[q] = rng.NextBool();
+  return Dfa::CreateFlat(k, n, rng.NextInt(0, n - 1), std::move(next),
+                         std::move(accepting));
+}
+
 // The partition every constructor computes must be exactly the coarsest one:
 // Next agrees with NextByClass through the letter map, and any two distinct
 // classes are distinguished by some state.
 TEST(DfaClassTest, PartitionIsCoarsestOnRandomCorpus) {
   Rng rng(4242);
   for (int trial = 0; trial < 100; ++trial) {
-    // Duplicate columns by construction: k letters drawn from kb <= k
-    // distinct base columns, so nontrivial classes are guaranteed.
     int n = rng.NextInt(1, 10);
     int kb = rng.NextInt(1, 3);
     int k = rng.NextInt(kb, 6);
-    std::vector<std::vector<int>> base(kb, std::vector<int>(n));
-    for (auto& col : base) {
-      for (int& t : col) t = rng.NextInt(0, n - 1);
-    }
-    std::vector<int> next(static_cast<size_t>(n) * k);
-    for (int s = 0; s < k; ++s) {
-      const std::vector<int>& col = base[rng.NextInt(0, kb - 1)];
-      for (int q = 0; q < n; ++q) next[static_cast<size_t>(q) * k + s] = col[q];
-    }
-    std::vector<bool> accepting(n);
-    for (int q = 0; q < n; ++q) accepting[q] = rng.NextBool();
-    Result<Dfa> d = Dfa::CreateFlat(k, n, rng.NextInt(0, n - 1),
-                                    std::move(next), std::move(accepting));
+    Result<Dfa> d = RandomDuplicateColumnDfa(rng, n, kb, k);
     ASSERT_TRUE(d.ok());
     ASSERT_LE(d->num_classes(), kb);
     int prev_rep = -1;
@@ -430,6 +440,152 @@ TEST(DfaMinimizeDifferentialTest, EquivalentDfasMinimizeIdentically) {
   ASSERT_TRUE(eq.ok());
   ASSERT_TRUE(*eq);
   EXPECT_TRUE(even.Minimized().StructurallyEqual(redundant->Minimized()));
+}
+
+// ---------------------------------------------------------------------------
+// Minimization on shapes that split large blocks
+// ---------------------------------------------------------------------------
+//
+// The random corpus above stays under 25 states over at most 3 letters.
+// Chains peel one state off a large block per split, tries split deep
+// suffix blocks many times, and duplicate columns exercise the
+// class-condensed refinement with several letters per column.
+
+// Chain 0 → 1 → … → n-1 on letter 0 (n-1 loops); every other letter resets
+// to state 0.
+Dfa ChainDfa(int n, int k, std::vector<bool> accepting) {
+  std::vector<int> next(static_cast<size_t>(n) * k, 0);
+  for (int q = 0; q < n; ++q) {
+    next[static_cast<size_t>(q) * k] = std::min(q + 1, n - 1);
+  }
+  Result<Dfa> d = Dfa::CreateFlat(k, n, 0, std::move(next),
+                                  std::move(accepting));
+  return *std::move(d);
+}
+
+// The trie of `words` (letters '0', '1', …) with one dead sink: node 0 is
+// the root and the sink is the last state.
+Dfa TrieDfa(const std::vector<std::string>& words, int k) {
+  std::vector<std::vector<int>> child(1, std::vector<int>(k, -1));
+  std::vector<bool> accepting(1, false);
+  for (const std::string& w : words) {
+    int q = 0;
+    for (char ch : w) {
+      int s = ch - '0';
+      if (child[q][s] < 0) {
+        child[q][s] = static_cast<int>(child.size());
+        child.emplace_back(k, -1);
+        accepting.push_back(false);
+      }
+      q = child[q][s];
+    }
+    accepting[q] = true;
+  }
+  int sink = static_cast<int>(child.size());
+  accepting.push_back(false);
+  std::vector<int> next;
+  for (const std::vector<int>& row : child) {
+    for (int t : row) next.push_back(t < 0 ? sink : t);
+  }
+  next.insert(next.end(), k, sink);
+  Result<Dfa> d = Dfa::CreateFlat(k, sink + 1, 0, std::move(next),
+                                  std::move(accepting));
+  return *std::move(d);
+}
+
+std::vector<std::string> RandomWords(Rng& rng, int k, int count, int max_len) {
+  std::string sigma = std::string("0123").substr(0, k);
+  std::vector<std::string> words;
+  for (int i = 0; i < count; ++i) {
+    words.push_back(rng.NextString(sigma, 0, max_len));
+  }
+  return words;
+}
+
+// Minimized() is bit-identical to the Moore reference, accepts the same
+// language as `d` (no reachable pair of the naive product disagrees) and is
+// minimal by the oracle's pair-marking table.
+void ExpectMinimizedMatchesReferences(const Dfa& d) {
+  Dfa fast = d.Minimized();
+  ASSERT_TRUE(fast.StructurallyEqual(d.MinimizedMoore()))
+      << "Hopcroft " << fast.num_states() << " states vs Moore "
+      << d.MinimizedMoore().num_states();
+  oracle::PlainDfa before = oracle::ToPlain(d);
+  oracle::PlainDfa after = oracle::ToPlain(fast);
+  EXPECT_TRUE(oracle::IsEmpty(oracle::NaiveProduct(
+      before, after, [](bool x, bool y) { return x != y; })));
+  EXPECT_TRUE(oracle::IsMinimal(after));
+}
+
+TEST(DfaMinimizeDifferentialTest, ChainsMatchReferences) {
+  Rng rng(31);
+  for (int n : {1, 2, 3, 5, 17, 64, 128}) {
+    for (int k = 1; k <= 3; ++k) {
+      std::vector<bool> last(n, false), alternating(n), random(n);
+      last[n - 1] = true;
+      for (int q = 0; q < n; ++q) {
+        alternating[q] = q % 2 == 0;
+        random[q] = rng.NextInt(0, 3) == 0;
+      }
+      for (const std::vector<bool>& acc : {last, alternating, random}) {
+        SCOPED_TRACE("chain n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        ExpectMinimizedMatchesReferences(ChainDfa(n, k, acc));
+      }
+    }
+  }
+}
+
+TEST(DfaMinimizeDifferentialTest, TriesMatchReferences) {
+  Rng rng(57);
+  for (int count = 50; count <= 300; count += 50) {
+    for (int k = 2; k <= 3; ++k) {
+      SCOPED_TRACE("trie of " + std::to_string(count) +
+                   " words, k=" + std::to_string(k));
+      ExpectMinimizedMatchesReferences(
+          TrieDfa(RandomWords(rng, k, count, 8), k));
+    }
+  }
+}
+
+TEST(DfaMinimizeDifferentialTest, DuplicateColumnDfasMatchReferences) {
+  Rng rng(8080);
+  for (int trial = 0; trial < 40; ++trial) {
+    int n = rng.NextInt(20, 150);
+    int kb = rng.NextInt(1, 3);
+    int k = rng.NextInt(kb, 6);
+    Result<Dfa> d = RandomDuplicateColumnDfa(rng, n, kb, k);
+    ASSERT_TRUE(d.ok());
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectMinimizedMatchesReferences(*d);
+  }
+}
+
+// dfa.minimize.elements_moved counts the refinement's split work, so it is
+// a timing-free complexity check. The ceiling k·n·(⌈log₂ n⌉ + 2) leaves one
+// round of slack over Hopcroft's bound k·n·(⌊log₂ n⌋ + 1); a split that
+// scans its whole block costs ~n²/2 on the chain instead.
+TEST(DfaMinimizeWorkTest, ElementsMovedStayUnderHopcroftCeiling) {
+  obs::ScopedEnable tracing(true);
+  std::vector<bool> last(4096, false);
+  last.back() = true;
+  Rng rng(300);
+  for (const Dfa& d : {ChainDfa(4096, 2, last),
+                       TrieDfa(RandomWords(rng, 2, 300, 12), 2)}) {
+    int64_t n = d.num_states();
+    int64_t log2n = 0;
+    while ((int64_t{1} << log2n) < n) ++log2n;
+    int64_t ceiling = d.num_classes() * n * (log2n + 2);
+    int64_t before =
+        obs::MetricsRegistry::Global().Get(obs::kDfaMinimizeElementsMoved);
+    Dfa min = d.Minimized();
+    int64_t moved =
+        obs::MetricsRegistry::Global().Get(obs::kDfaMinimizeElementsMoved) -
+        before;
+    EXPECT_GT(moved, 0);
+    EXPECT_LE(moved, ceiling) << n << " states, " << d.num_classes()
+                              << " classes, " << min.num_states() << " out";
+  }
 }
 
 }  // namespace

@@ -218,6 +218,44 @@ TEST(IncrDomainTest, RefcountedDomainsMatchRecomputation) {
   EXPECT_FALSE(index->ActiveDomainAt(head.revision() + 17).has_value());
 }
 
+// The prefix counts an opaque commit seeds must be exact: deleting the
+// domain tuple by tuple, a prefix may leave the closure only with the last
+// string that has it, so every step's closure equals the naive
+// recomputation only if every seeded count was right. The domain holds the
+// empty string, keys that are whole prefixes of the next key ("0" < "01" <
+// "011"), and keys sharing prefixes with non-adjacent keys ("0010" and "01"
+// share "0" across "0011"); S repeats strings of R2, so multiplicities
+// exceed one.
+TEST(IncrDomainTest, SortedSeedMatchesNaivePrefixCounts) {
+  serve::QueryServer server(Fixture());
+  std::vector<Tuple> r = {{""},    {"0"},   {"0010"}, {"0011"}, {"01"},
+                          {"011"}, {"0110"}, {"1"},   {"10"},   {"1011"}};
+  std::vector<Tuple> s = {{"01", "1"}, {"", "0111"}, {"10", "10"}};
+  ASSERT_TRUE(server.versioned_db().AddRelation("S", 2, s).ok());
+  ASSERT_TRUE(server.versioned_db().AddRelation("R2", 1, r).ok());
+  std::vector<TupleDelta> deletes;
+  Database fixture = Fixture();
+  for (const Tuple& t : fixture.relations().at("R").tuples()) {
+    deletes.push_back(TupleDelta{"R", t, false});
+  }
+  for (const Tuple& t : s) deletes.push_back(TupleDelta{"S", t, false});
+  for (auto it = r.rbegin(); it != r.rend(); ++it) {
+    deletes.push_back(TupleDelta{"R2", *it, false});
+  }
+  const std::shared_ptr<IncrementalIndex>& index = server.incremental();
+  for (size_t step = 0; step <= deletes.size(); ++step) {
+    if (step > 0) {
+      ASSERT_TRUE(server.CommitDeltas({deletes[step - 1]}).ok());
+    }
+    DbSnapshot head = server.versioned_db().Snapshot();
+    std::optional<std::vector<std::string>> closure =
+        index->PrefixClosureAt(head.revision());
+    ASSERT_TRUE(closure.has_value()) << "step " << step;
+    ASSERT_EQ(*closure, PrefixClosure(head.db().ActiveDomain()))
+        << "step " << step;
+  }
+}
+
 TEST(IncrDomainTest, EngineBProviderAgreesWithDefaultRecomputation) {
   serve::QueryServer server(Fixture());
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
