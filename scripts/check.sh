@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Full local gate: tier-1 (RelWithDebInfo build + ctest) and a lint that
-# every test name is deterministic, followed by the same suite under ASan
-# (`cmake --preset asan`), standalone UBSan (`cmake --preset ubsan`) and
-# TSan (`cmake --preset tsan`, for the thread pool and the parallel
-# compile/eval paths), a tier-2d TSan run of the serving bench (concurrent
-# sessions, MVCC snapshots, single-flight, admission), a tier-2e
+# Full local gate: tier-1 (RelWithDebInfo build + ctest), a lint that every
+# test name is deterministic and the perfbench self-test, followed by the
+# same suite under ASan (`cmake --preset asan`), standalone UBSan
+# (`cmake --preset ubsan`) and TSan (`cmake --preset tsan`, for the thread
+# pool and the parallel compile/eval paths), a tier-2d TSan run of the
+# serving bench (concurrent sessions, MVCC snapshots, single-flight,
+# admission), a tier-2e
 # incremental-maintenance gate (bench_ablation's update-stream section: >=5x
 # updates/sec over full recompile with identical answers/ids/verdicts), a
 # tier-2f lazy early-exit gate (bench_lazy: >=5x fewer states created than
@@ -42,6 +43,12 @@ for bin in build/tests/*_test; do
     exit 1
   fi
 done
+
+echo "==== perfbench self-test: request digests + counter determinism ===="
+# Two traced runs of each single-client perfbench workload at one seed must
+# send byte-identical requests and move every traced counter identically,
+# and every answer is checked by perfbench's own oracle.
+python3 perfbench/run.py --self-test --seed 1
 
 echo "==== tier-2: ASan/UBSan ===="
 cmake --preset asan

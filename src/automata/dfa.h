@@ -153,6 +153,9 @@ class Dfa {
   std::vector<std::vector<Symbol>> Enumerate(int max_len,
                                              size_t max_count) const;
 
+  // States from which an accepting state is reachable.
+  std::vector<bool> CoreachableStates() const;
+
   // A shortest accepted string, if the language is non-empty.
   std::optional<std::vector<Symbol>> ShortestAccepted() const;
 
@@ -208,8 +211,6 @@ class Dfa {
 
   // States reachable from start.
   std::vector<bool> ReachableStates() const;
-  // States from which an accepting state is reachable.
-  std::vector<bool> CoreachableStates() const;
 
   int alphabet_size_;
   int num_states_;

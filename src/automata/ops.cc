@@ -358,43 +358,20 @@ Result<Dfa> PrependLetter(const Dfa& d, Symbol a) {
 
 Dfa PrefixClosureLang(const Dfa& d) {
   // A prefix u is in the closure iff from δ(start, u) an accepting state is
-  // reachable. So: mark all co-reachable states accepting. We recompute
-  // co-reachability locally to keep Dfa's internals private.
+  // reachable. So: mark all co-reachable states accepting, on the condensed
+  // table with d's letter classes as the hint.
   int n = d.num_states();
-  std::vector<std::vector<int>> rev(n);
-  std::vector<std::vector<int>> next(n);
-  std::vector<bool> accepting(n);
+  int num_classes = d.num_classes();
+  std::vector<int> cnext(static_cast<size_t>(n) * num_classes);
   for (int q = 0; q < n; ++q) {
-    std::vector<int> row(d.alphabet_size());
-    for (int s = 0; s < d.alphabet_size(); ++s) {
-      row[s] = d.Next(q, static_cast<Symbol>(s));
-      rev[row[s]].push_back(q);
-    }
-    next[q] = std::move(row);
-    accepting[q] = d.IsAccepting(q);
-  }
-  std::vector<bool> coreach(n, false);
-  std::vector<int> stack;
-  for (int q = 0; q < n; ++q) {
-    if (accepting[q]) {
-      coreach[q] = true;
-      stack.push_back(q);
+    for (int c = 0; c < num_classes; ++c) {
+      cnext[static_cast<size_t>(q) * num_classes + c] = d.NextByClass(q, c);
     }
   }
-  while (!stack.empty()) {
-    int q = stack.back();
-    stack.pop_back();
-    for (int p : rev[q]) {
-      if (!coreach[p]) {
-        coreach[p] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  for (int q = 0; q < n; ++q) accepting[q] = coreach[q];
-  Result<Dfa> out =
-      Dfa::Create(d.alphabet_size(), d.start(), std::move(next),
-                  std::move(accepting));
+  Result<Dfa> out = Dfa::CreateCondensed(d.alphabet_size(), n, d.start(),
+                                         d.letter_classes(), num_classes,
+                                         std::move(cnext),
+                                         d.CoreachableStates());
   return *std::move(out);
 }
 

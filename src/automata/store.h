@@ -129,6 +129,7 @@ class AutomatonStore {
     kOpPermute = 8,
     // Boolean-valued: memoized emptiness decisions (IsIntersectionEmpty).
     kOpIntersectEmpty = 9,
+    kOpPrefixClosure = 10,
   };
 
   struct Stats {

@@ -331,18 +331,8 @@ class Compiler {
         return AdomAutomaton(v);
       case QuantRange::kPrefixDom: {
         // x ≼ some adom string, or x ≼ some parameter.
-        const Database* db = db_;
-        Result<TrackAutomaton> closure =
-            provider_ != nullptr
-                ? provider_->PrefixDomTrie(*db_, v)
-                : cache_->TableTrie("prefixdom:" + Rev(), {v}, [db] {
-                    std::vector<std::vector<std::string>> tuples;
-                    for (const std::string& s : PrefixClosureOfAdom(db)) {
-                      tuples.push_back({s});
-                    }
-                    return tuples;
-                  });
-        STRQ_ASSIGN_OR_RETURN(TrackAutomaton acc, std::move(closure));
+        STRQ_ASSIGN_OR_RETURN(TrackAutomaton adom, AdomAutomaton(v));
+        STRQ_ASSIGN_OR_RETURN(TrackAutomaton acc, adom.PrefixClosure(v));
         for (VarId z : params) {
           STRQ_ASSIGN_OR_RETURN(TrackAutomaton pre, cache_->Prefix(v, z));
           STRQ_ASSIGN_OR_RETURN(acc, TrackAutomaton::Union(acc, pre));
@@ -363,25 +353,72 @@ class Compiler {
     return InternalError("unknown range");
   }
 
-  static std::vector<std::string> PrefixClosureOfAdom(const Database* db) {
-    std::vector<std::string> adom = db->ActiveDomain();
-    std::vector<std::string> out;
-    for (const std::string& s : adom) {
-      for (size_t len = 0; len <= s.size(); ++len) {
-        out.push_back(s.substr(0, len));
+  // ---- Formulas -----------------------------------------------------------
+
+  // Recognizes ∃y (φ₁(y) ∧ … ∧ φₙ(y) ∧ x ≼ y) with n ≥ 1: exactly one
+  // conjunct x ≼ y over a variable x other than y, and every other conjunct
+  // free in exactly {y}. Such a formula is the prefix closure of φ placed
+  // on x's track. Fills `phi` with the φᵢ and returns x's id; nullopt for
+  // every other shape. The parameterized ranges (pre adom, len adom) never
+  // match: x occurs free in the body, so it is a parameter of the range.
+  std::optional<VarId> MatchPrefixClosure(const Formula& f,
+                                          std::vector<FormulaPtr>* phi) {
+    if (f.kind != FormulaKind::kExists || f.range == QuantRange::kPrefixDom ||
+        f.range == QuantRange::kLenDom) {
+      return std::nullopt;
+    }
+    std::vector<FormulaPtr> pending = {f.left};
+    const std::string* x = nullptr;
+    while (!pending.empty()) {
+      FormulaPtr c = std::move(pending.back());
+      pending.pop_back();
+      if (c->kind == FormulaKind::kAnd) {
+        pending.push_back(c->right);
+        pending.push_back(c->left);
+        continue;
+      }
+      if (c->kind == FormulaKind::kPred && c->pred == PredKind::kPrefix &&
+          c->args[0]->kind == TermKind::kVar &&
+          c->args[1]->kind == TermKind::kVar && c->args[1]->var == f.var &&
+          c->args[0]->var != f.var) {
+        if (x != nullptr) return std::nullopt;
+        x = &c->args[0]->var;
+      } else {
+        phi->push_back(std::move(c));
       }
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    if (x == nullptr || phi->empty()) return std::nullopt;
+    for (const FormulaPtr& c : *phi) {
+      std::set<std::string> fv = FreeVars(c);
+      if (fv.size() != 1 || *fv.begin() != f.var) return std::nullopt;
+    }
+    auto it = scope_.find(*x);
+    if (it == scope_.end()) return std::nullopt;
+    return it->second;
   }
 
-  // ---- Formulas -----------------------------------------------------------
+  // The unary φ(y) of a matched prefix closure: its conjuncts intersected
+  // in order, and with adom(y) for an `in adom` quantifier.
+  Result<TrackAutomaton> CompileClosureBody(const std::vector<FormulaPtr>& phi,
+                                            VarId y, QuantRange range) {
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton acc, Compile(phi[0]));
+    for (size_t i = 1; i < phi.size(); ++i) {
+      STRQ_ASSIGN_OR_RETURN(TrackAutomaton next, Compile(phi[i]));
+      STRQ_ASSIGN_OR_RETURN(acc, TrackAutomaton::Intersect(acc, next));
+    }
+    if (range == QuantRange::kAdom) {
+      STRQ_ASSIGN_OR_RETURN(TrackAutomaton adom, AdomAutomaton(y));
+      STRQ_ASSIGN_OR_RETURN(acc, TrackAutomaton::Intersect(acc, adom));
+    }
+    return acc;
+  }
 
   Result<TrackAutomaton> CompileQuantifier(const Formula& f) {
     bool is_forall = f.kind == FormulaKind::kForall;
     // ∀x∈R φ ≡ ¬∃x∈R ¬φ.
     FormulaPtr body = is_forall ? FNot(f.left) : f.left;
+    std::vector<FormulaPtr> closure_body;
+    std::optional<VarId> closure_var = MatchPrefixClosure(f, &closure_body);
 
     // Parameters (free variables of the quantified formula other than x),
     // resolved in the *outer* scope: they bound the restricted ranges.
@@ -401,13 +438,17 @@ class Compiler {
     if (saved != scope_.end()) shadowed = saved->second;
     VarId v = Fresh();
     scope_[f.var] = v;
-    Result<TrackAutomaton> body_rel = Compile(body);
+    Result<TrackAutomaton> body_rel =
+        closure_var.has_value()
+            ? CompileClosureBody(closure_body, v, f.range)
+            : Compile(body);
     if (shadowed.has_value()) {
       scope_[f.var] = *shadowed;
     } else {
       scope_.erase(f.var);
     }
     if (!body_rel.ok()) return body_rel.status();
+    if (closure_var.has_value()) return body_rel->PrefixClosure(*closure_var);
 
     TrackAutomaton rel = *std::move(body_rel);
     if (f.range != QuantRange::kAll) {

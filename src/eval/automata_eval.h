@@ -20,8 +20,9 @@
 namespace strq {
 
 // Pluggable supplier of the database-contents automata Engine A's compiler
-// needs: relation table-tries, the active-domain automaton, and the
-// prefix-closure automaton for restricted ranges. The default (no provider)
+// needs: relation table-tries and the active-domain automaton (the
+// prefix-closure range of `pre adom` is TrackAutomaton::PrefixClosure of the
+// latter, so it needs no supplier of its own). The default (no provider)
 // path builds them from tuples through the AtomCache, keyed on the database
 // revision. The incremental-maintenance index (src/incr) implements this
 // interface by PATCHING a prior revision's automaton with the tuple deltas
@@ -39,8 +40,6 @@ class TrieProvider {
                                               const std::string& name,
                                               const std::vector<VarId>& vars) = 0;
   virtual Result<TrackAutomaton> AdomTrie(const Database& db, VarId var) = 0;
-  virtual Result<TrackAutomaton> PrefixDomTrie(const Database& db,
-                                               VarId var) = 0;
 };
 
 // Engine A: exact natural-semantics evaluation of RC(SC, M) queries by
@@ -100,10 +99,9 @@ class AutomataEvaluator {
   void set_parallel_options(ParallelOptions options) { parallel_ = options; }
   const ParallelOptions& parallel_options() const { return parallel_; }
 
-  // Routes the compiler's database-contents automata (relation tries, adom,
-  // prefix-closure) through `provider` instead of the default
-  // FromTuples-via-AtomCache path. Null restores the default. The provider
-  // must outlive every Compile call.
+  // Routes the compiler's database-contents automata (relation tries, adom)
+  // through `provider` instead of the default FromTuples-via-AtomCache path.
+  // Null restores the default. The provider must outlive every Compile call.
   void set_trie_provider(std::shared_ptr<TrieProvider> provider) {
     trie_provider_ = std::move(provider);
   }

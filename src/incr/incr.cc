@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "base/string_ops.h"
 #include "obs/trace.h"
 
 namespace strq {
@@ -109,15 +108,14 @@ void IncrementalIndex::ApplyDomOpsLocked(const CommitDelta& delta) {
   DomDelta d;
   d.from_revision = delta.from_revision;
   d.to_revision = delta.to_revision;
-  std::set<std::string> added, removed, p_added, p_removed;
+  std::set<std::string> added, removed;
   for (const TupleDelta& op : delta.ops) {
     for (const std::string& s : op.tuple) {
       if (op.insert) {
         if (counts_[s]++ == 0) {
           NetInsert(s, &added, &removed);
           for (size_t i = 0; i <= s.size(); ++i) {
-            std::string p = s.substr(0, i);
-            if (prefix_counts_[p]++ == 0) NetInsert(p, &p_added, &p_removed);
+            ++prefix_counts_[s.substr(0, i)];
           }
         }
       } else {
@@ -131,7 +129,6 @@ void IncrementalIndex::ApplyDomOpsLocked(const CommitDelta& delta) {
             auto pit = prefix_counts_.find(p);
             if (pit != prefix_counts_.end() && --pit->second == 0) {
               prefix_counts_.erase(pit);
-              NetInsert(p, &p_removed, &p_added);
             }
           }
         }
@@ -140,16 +137,13 @@ void IncrementalIndex::ApplyDomOpsLocked(const CommitDelta& delta) {
   }
   d.added.assign(added.begin(), added.end());
   d.removed.assign(removed.begin(), removed.end());
-  d.p_added.assign(p_added.begin(), p_added.end());
-  d.p_removed.assign(p_removed.begin(), p_removed.end());
   dom_log_.push_back(std::move(d));
   while (dom_log_.size() > kMaxDomLog) dom_log_.pop_front();
   dom_rev_ = delta.to_revision;
 }
 
 std::optional<std::pair<std::vector<std::string>, std::vector<std::string>>>
-IncrementalIndex::DomNetBetweenLocked(int64_t from, int64_t to,
-                                      bool prefixes) const {
+IncrementalIndex::DomNetBetweenLocked(int64_t from, int64_t to) const {
   std::set<std::string> net_added, net_removed;
   int64_t cur = from;
   while (cur != to) {
@@ -161,12 +155,12 @@ IncrementalIndex::DomNetBetweenLocked(int64_t from, int64_t to,
       }
     }
     if (step == nullptr) return std::nullopt;
-    const std::vector<std::string>& add = prefixes ? step->p_added
-                                                   : step->added;
-    const std::vector<std::string>& rem = prefixes ? step->p_removed
-                                                   : step->removed;
-    for (const std::string& s : add) NetInsert(s, &net_added, &net_removed);
-    for (const std::string& s : rem) NetInsert(s, &net_removed, &net_added);
+    for (const std::string& s : step->added) {
+      NetInsert(s, &net_added, &net_removed);
+    }
+    for (const std::string& s : step->removed) {
+      NetInsert(s, &net_removed, &net_added);
+    }
     cur = step->to_revision;
   }
   return std::make_pair(
@@ -346,25 +340,16 @@ Result<TrackAutomaton> IncrementalIndex::BuildRelationTrie(
 Result<TrackAutomaton> IncrementalIndex::AdomTrie(const Database& db,
                                                   VarId var) {
   std::string key = "adom:" + std::to_string(db.revision());
-  return cache_->CachedTrie(
-      key, {var}, [&] { return BuildDomTrie(db, /*prefixes=*/false); });
+  return cache_->CachedTrie(key, {var}, [&] { return BuildDomTrie(db); });
 }
 
-Result<TrackAutomaton> IncrementalIndex::PrefixDomTrie(const Database& db,
-                                                       VarId var) {
-  std::string key = "prefixdom:" + std::to_string(db.revision());
-  return cache_->CachedTrie(
-      key, {var}, [&] { return BuildDomTrie(db, /*prefixes=*/true); });
-}
-
-Result<TrackAutomaton> IncrementalIndex::BuildDomTrie(const Database& db,
-                                                      bool prefixes) {
+Result<TrackAutomaton> IncrementalIndex::BuildDomTrie(const Database& db) {
   const int64_t rev = db.revision();
   std::lock_guard<std::mutex> lock(mu_);
-  BaseState& st = prefixes ? prefix_base_ : adom_base_;
+  BaseState& st = adom_base_;
   if (st.base.has_value() && st.rev == rev) return *st.base;
   if (st.base.has_value() && rev > st.rev) {
-    auto net = DomNetBetweenLocked(st.rev, rev, prefixes);
+    auto net = DomNetBetweenLocked(st.rev, rev);
     if (net.has_value()) {
       if (net->first.empty() && net->second.empty()) {
         st.rev = rev;
@@ -390,15 +375,13 @@ Result<TrackAutomaton> IncrementalIndex::BuildDomTrie(const Database& db,
   CountRecompile();
   std::vector<std::string> dom;
   if (dom_valid_ && dom_rev_ == rev) {
-    const auto& src = prefixes ? prefix_counts_ : counts_;
-    dom.reserve(src.size());
-    for (const auto& [s, n] : src) {
+    dom.reserve(counts_.size());
+    for (const auto& [s, n] : counts_) {
       (void)n;
       dom.push_back(s);
     }
   } else {
     dom = db.ActiveDomain();
-    if (prefixes) dom = PrefixClosure(dom);
   }
   Result<TrackAutomaton> built = FromTuplesVars({0}, UnaryTuples(dom));
   if (built.ok() && (!st.base.has_value() || rev >= st.rev)) {

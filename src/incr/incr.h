@@ -64,9 +64,10 @@ struct Stats {
 //    AtomCache under the same "rel:<name>:<rev>" keys the compilers look
 //    up, so eviction and cross-session sharing work unchanged.
 //  * Active domain and its prefix closure (TrieProvider for Engine A's
-//    adom/prefixdom automata, DomainProvider for Engine B's candidate
-//    sets): multiplicity-refcounted under inserts/deletes, so a commit
-//    updates them in O(delta) instead of rescanning every relation.
+//    adom automaton, whose PrefixClosure serves `pre adom`; DomainProvider
+//    for Engine B's candidate sets): multiplicity-refcounted under
+//    inserts/deletes, so a commit updates them in O(delta) instead of
+//    rescanning every relation.
 //  * Answer automata (CompileAnswer): compiled answers for cached plans
 //    are maintained as (base ∪ delta ∖ retract) — single-atom queries are
 //    spliced directly; linear-positive queries under insert-only deltas
@@ -104,7 +105,6 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
                                       const std::string& name,
                                       const std::vector<VarId>& vars) override;
   Result<TrackAutomaton> AdomTrie(const Database& db, VarId var) override;
-  Result<TrackAutomaton> PrefixDomTrie(const Database& db, VarId var) override;
 
   // --- DomainProvider (Engine B) -----------------------------------------
   std::optional<std::vector<std::string>> ActiveDomainAt(
@@ -138,13 +138,11 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
     std::optional<TrackAutomaton> base;
   };
 
-  // Net domain change of one commit: strings entering/leaving adom(D) and
-  // prefixes entering/leaving its closure.
+  // Net domain change of one commit: strings entering/leaving adom(D).
   struct DomDelta {
     int64_t from_revision = 0;
     int64_t to_revision = 0;
-    std::vector<std::string> added, removed;      // adom strings
-    std::vector<std::string> p_added, p_removed;  // closure prefixes
+    std::vector<std::string> added, removed;
   };
 
   struct AnswerEntry {
@@ -189,7 +187,7 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   // Builders behind the AtomCache single-flight (canonical variables).
   Result<TrackAutomaton> BuildRelationTrie(const Database& db,
                                            const std::string& name);
-  Result<TrackAutomaton> BuildDomTrie(const Database& db, bool prefixes);
+  Result<TrackAutomaton> BuildDomTrie(const Database& db);
 
   Result<TrackAutomaton> FromTuplesVars(const std::vector<VarId>& vars,
                                         const std::vector<Tuple>& tuples);
@@ -197,10 +195,10 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   // Domain refcount bookkeeping (mu_ held).
   void SeedDomLocked(const Database& db);
   void ApplyDomOpsLocked(const CommitDelta& delta);
-  // Net adom (or closure) change along (from, to], or nullopt if the dom
-  // log cannot replay that window.
+  // Net adom change along (from, to], or nullopt if the dom log cannot
+  // replay that window.
   std::optional<std::pair<std::vector<std::string>, std::vector<std::string>>>
-  DomNetBetweenLocked(int64_t from, int64_t to, bool prefixes) const;
+  DomNetBetweenLocked(int64_t from, int64_t to) const;
 
   static void AnalyzeFormula(const FormulaPtr& f, bool positive_path,
                              AnswerEntry* e);
@@ -216,7 +214,7 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
 
   mutable std::mutex mu_;  // tries + domain state
   std::map<std::string, BaseState> rels_;
-  BaseState adom_base_, prefix_base_;
+  BaseState adom_base_;
   // Domain refcounts, synced to head revision dom_rev_ while dom_valid_:
   // counts_[s] = occurrences of s across all tuples; prefix_counts_[p] =
   // distinct adom strings with prefix p (so keys(prefix_counts_) IS the

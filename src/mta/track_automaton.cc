@@ -542,6 +542,28 @@ Result<TrackAutomaton> TrackAutomaton::Project(VarId var) const {
   return out;
 }
 
+Result<TrackAutomaton> TrackAutomaton::PrefixClosure(VarId var) const {
+  if (arity() != 1) {
+    return InvalidArgumentError("PrefixClosure needs an arity-1 relation");
+  }
+  obs::Span span("mta.prefix_closure");
+  span.Attr("in_states", NumStates());
+  obs::Count(obs::kMtaPrefixClosures);
+  OpKey key{AutomatonStore::kOpPrefixClosure, dfa_.id(), 0,
+            {conv_.base_size()}};
+  std::optional<DfaRef> closure = store_->Lookup(key);
+  if (!closure.has_value()) {
+    // No Valid re-intersection: canonical unary words are the pad-free
+    // ones, and a prefix of a pad-free word is pad-free, so the pad column
+    // still leads only to dead states.
+    closure = store_->Intern(PrefixClosureLang(*dfa_));
+    store_->Memoize(key, *closure);
+  }
+  TrackAutomaton out(alphabet_, {var}, conv_, *std::move(closure), store_);
+  span.Attr("out_states", out.NumStates());
+  return out;
+}
+
 Result<TrackAutomaton> TrackAutomaton::Renamed(
     const std::map<VarId, VarId>& renaming) const {
   obs::Span span("mta.rename");

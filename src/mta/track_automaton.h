@@ -120,6 +120,13 @@ class TrackAutomaton {
   // Existential quantification: removes `var` (must be present).
   Result<TrackAutomaton> Project(VarId var) const;
 
+  // Prefix closure of a unary relation, on the track of `var`:
+  // {x : x ≼ y for some y in the relation}, i.e. ∃y (φ(y) ∧ x ≼ y) for the
+  // relation φ. Linear in the table (PrefixClosureLang: every state that
+  // can reach acceptance becomes accepting), with no product, projection
+  // or determinization. Memoized in the store under kOpPrefixClosure.
+  Result<TrackAutomaton> PrefixClosure(VarId var) const;
+
   // Applies a bijective renaming to the variable tags, permuting tracks so
   // the result is sorted again. Variables not in the map keep their id.
   // Order-preserving renamings are label-only: they reuse the interned DFA

@@ -104,6 +104,9 @@ inline constexpr char kMtaProjections[] = "mta.projections";
 inline constexpr char kMtaCylindrifications[] = "mta.cylindrifications";
 inline constexpr char kMtaDifferences[] = "mta.differences";
 inline constexpr char kMtaRenamings[] = "mta.renamings";
+// Prefix closures of unary relations: ∃y (φ(y) ∧ x ≼ y) compiled in one
+// linear pass, with no product, projection or determinization.
+inline constexpr char kMtaPrefixClosures[] = "mta.prefix_closures";
 inline constexpr char kMtaStatesBuilt[] = "mta.states_built";
 inline constexpr char kMtaTransitionsBuilt[] = "mta.transitions_built";
 // States of intermediate products/complements/projections, before the seed

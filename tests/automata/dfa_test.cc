@@ -519,7 +519,7 @@ void ExpectMinimizedMatchesReferences(const Dfa& d) {
 
 TEST(DfaMinimizeDifferentialTest, ChainsMatchReferences) {
   Rng rng(31);
-  for (int n : {1, 2, 3, 5, 17, 64, 128}) {
+  for (int n : {1, 2, 3, 5, 17, 64, 128, 256}) {
     for (int k = 1; k <= 3; ++k) {
       std::vector<bool> last(n, false), alternating(n), random(n);
       last[n - 1] = true;

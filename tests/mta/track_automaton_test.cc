@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "base/rng.h"
 #include "base/string_ops.h"
@@ -413,6 +414,63 @@ TEST(TrackAutomatonTest, FirstOrderOpsMatchTupleOracle) {
       }
     }
   }
+}
+
+// PrefixClosure against a std::set prefix closure on Σ^{≤5}: the empty
+// relation, {ε}, a chain of nested words, then random relations of short
+// words (which share prefixes often over {0,1}). Its canonical id must equal
+// that of the composition it replaces, Cylindrified → Intersect(PrefixAtom)
+// → Project, and a repeat call is a computed-table hit.
+TEST(TrackAutomatonTest, PrefixClosureMatchesTupleOracle) {
+  Rng rng(20261019);
+  const std::vector<std::string> words = oracle::StringsUpTo("01", 5);
+  for (int iter = 0; iter < 120; ++iter) {
+    std::set<std::string> rel;
+    if (iter == 1) rel = {""};
+    if (iter == 2) rel = {"0", "01", "011", "0110"};
+    for (int i = iter > 2 ? rng.NextInt(1, 6) : 0; i > 0; --i) {
+      rel.insert(rng.NextString("01", 0, 4));
+    }
+    std::set<std::string> closure;
+    std::vector<std::vector<std::string>> tuples;
+    for (const std::string& s : rel) {
+      tuples.push_back({s});
+      for (size_t i = 0; i <= s.size(); ++i) closure.insert(s.substr(0, i));
+    }
+    AutomatonStore store(true);
+    Result<TrackAutomaton> r = TrackAutomaton::FromTuples(store, kBin, {1},
+                                                          tuples);
+    ASSERT_TRUE(r.ok()) << r.status();
+    Result<TrackAutomaton> pre = r->PrefixClosure(0);
+    ASSERT_TRUE(pre.ok()) << pre.status();
+    ASSERT_EQ(pre->vars(), std::vector<VarId>{0});
+    for (const std::string& w : words) {
+      Result<bool> in = pre->Contains({w});
+      ASSERT_TRUE(in.ok()) << in.status();
+      ASSERT_EQ(*in, closure.count(w) > 0) << iter << ": '" << w << "'";
+    }
+
+    Result<TrackAutomaton> atom = PrefixAtom(kBin, 0, 1);
+    ASSERT_TRUE(atom.ok()) << atom.status();
+    Result<TrackAutomaton> le =
+        TrackAutomaton::Create(store, kBin, atom->vars(), atom->dfa());
+    Result<TrackAutomaton> cyl = r->Cylindrified({0, 1});
+    ASSERT_TRUE(le.ok() && cyl.ok());
+    Result<TrackAutomaton> both = TrackAutomaton::Intersect(*cyl, *le);
+    ASSERT_TRUE(both.ok()) << both.status();
+    Result<TrackAutomaton> composed = both->Project(1);
+    ASSERT_TRUE(composed.ok()) << composed.status();
+    EXPECT_EQ(pre->dfa_ref().id(), composed->dfa_ref().id()) << iter;
+
+    int64_t hits = store.stats().op_hits;
+    Result<TrackAutomaton> again = r->PrefixClosure(0);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->dfa_ref().id(), pre->dfa_ref().id());
+    EXPECT_EQ(store.stats().op_hits, hits + 1);
+  }
+  Result<TrackAutomaton> binary = TrackAutomaton::FullRelation(kBin, {0, 1});
+  ASSERT_TRUE(binary.ok());
+  EXPECT_FALSE(binary->PrefixClosure(0).ok());
 }
 
 TEST(TrackAutomatonTest, ValidConvolutionsRejectJunk) {

@@ -153,8 +153,14 @@ TEST(ExplainAnalyzeTest, UnsafeQueryStillTraces) {
 TEST(ExplainAnalyzeTest, MetricsMoveAndFlagIsRestored) {
   ASSERT_FALSE(obs::Enabled()) << "test env unexpectedly sets STRQ_OBS";
   Database db = SmallDb();
-  Result<ExplainAnalyzeResult> out =
+  // x ≼ y under ∃y compiles as a prefix closure; y ≼ x still projects
+  // (R(x) keeps that answer finite, so it is enumerated).
+  Result<ExplainAnalyzeResult> closure =
       ExplainAnalyze(&db, Q("exists y. R(y) & x <= y & last[1](x)"));
+  ASSERT_TRUE(closure.ok());
+  EXPECT_GT(closure->metrics[obs::kMtaPrefixClosures], 0);
+  Result<ExplainAnalyzeResult> out =
+      ExplainAnalyze(&db, Q("exists y. R(y) & y <= x & R(x) & last[1](x)"));
   ASSERT_TRUE(out.ok());
   EXPECT_FALSE(obs::Enabled());  // ScopedEnable restored the flag
   EXPECT_GT(out->metrics.size(), 0u);

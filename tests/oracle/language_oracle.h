@@ -127,27 +127,37 @@ inline bool IsEmpty(const PlainDfa& d) {
 }
 
 // Textbook table filling: distinct[p][q] iff some word leads exactly one of
-// p, q to acceptance. Start from the pairs that differ in acceptance and mark
-// (p, q) whenever some letter takes it to a marked pair, until nothing moves.
+// p, q to acceptance. Start from the pairs that differ in acceptance; when a
+// pair (a, b) is marked, mark every pair (p, q) with p -s-> a and q -s-> b
+// for some letter s. A worklist over these reverse pair edges touches each
+// edge once, so the whole fill is O(n²·k).
 inline std::vector<std::vector<bool>> DistinguishablePairs(const PlainDfa& d) {
   int n = d.size();
+  // pre[s][t]: the states with an s-edge into t.
+  std::vector<std::vector<std::vector<int>>> pre(
+      d.k, std::vector<std::vector<int>>(n));
+  for (int q = 0; q < n; ++q) {
+    for (int s = 0; s < d.k; ++s) pre[s][d.next[q][s]].push_back(q);
+  }
   std::vector<std::vector<bool>> distinct(n, std::vector<bool>(n, false));
+  std::vector<std::pair<int, int>> work;
   for (int p = 0; p < n; ++p) {
     for (int q = 0; q < n; ++q) {
-      distinct[p][q] = d.accepting[p] != d.accepting[q];
+      if (d.accepting[p] != d.accepting[q]) {
+        distinct[p][q] = true;
+        work.emplace_back(p, q);
+      }
     }
   }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int p = 0; p < n; ++p) {
-      for (int q = 0; q < n; ++q) {
-        if (distinct[p][q]) continue;
-        for (int s = 0; s < d.k; ++s) {
-          if (distinct[d.next[p][s]][d.next[q][s]]) {
+  while (!work.empty()) {
+    auto [a, b] = work.back();
+    work.pop_back();
+    for (int s = 0; s < d.k; ++s) {
+      for (int p : pre[s][a]) {
+        for (int q : pre[s][b]) {
+          if (!distinct[p][q]) {
             distinct[p][q] = true;
-            changed = true;
-            break;
+            work.emplace_back(p, q);
           }
         }
       }
