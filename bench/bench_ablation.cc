@@ -12,10 +12,10 @@
 //      off, per rule in isolation (miniscoping, reordering), and all on;
 //   6. incremental maintenance under an update stream: the same sequence
 //      of tuple-delta commits replayed against a server with the src/incr
-//      index on (tries and answer automata patched across revisions) vs
-//      off (full recompile from every new snapshot), scored by updates/sec
-//      and gated on per-step answer counts, canonical store ids and
-//      safety verdicts being identical streams.
+//      index on (relation tries patched across revisions) vs off (full
+//      recompile from every new snapshot), gated on per-step answer
+//      counts, canonical store ids and safety verdicts being identical
+//      streams. Untimed: perfbench owns wall-clock comparisons.
 
 #include <algorithm>
 #include <cstdio>
@@ -337,33 +337,24 @@ int Run(int argc, char** argv) {
   }
 
   // --- 6. Incremental maintenance under an update stream -----------------
-  // Precompute one stream of tuple-delta batches (mostly inserts, with a
-  // mixed insert/delete batch every fourth step — the append-heavy shape
-  // update streams actually have), then replay it twice: once against a
-  // server whose IncrementalIndex patches tries and answer automata across
-  // revisions, once against a server that recompiles everything from each
-  // new snapshot. The incremental arm runs FIRST, so the recompile baseline
-  // inherits the warmer shared automaton store — any bias is against the
-  // patching arm.
-  //
-  // The TIMED stream is append-only — the workload incremental maintenance
-  // exists for (log/stream ingestion): every query in the battery patches
-  // on every step. An UNTIMED mixed epilogue then replays insert+delete
-  // batches through both arms: the bare atom patches deletes too, the
-  // linear-positive queries fall back to recompilation over patched tries
-  // — either way the per-step answer counts, canonical intern ids and
-  // finiteness verdicts must be identical streams across arms (the epilogue
-  // feeds the same agreement gates). Patching is only an optimization if
-  // nobody can tell.
+  // Precompute one stream of tuple-delta batches (append-only steps, then
+  // mixed insert/delete steps), then replay it twice: once against a
+  // server whose IncrementalIndex patches relation tries across revisions
+  // and memoizes answers per revision, once against a server that
+  // recompiles everything from each new snapshot. The per-step answer
+  // counts, canonical intern ids and finiteness verdicts must be identical
+  // streams across arms: patching is only an optimization if nobody can
+  // tell. Nothing here is timed; perfbench's update_stream workload owns
+  // the wall-clock comparison.
   {
     const uint64_t kSeed = 20260809;
     const int kInitial = reporter.smoke() ? 1000 : 1600;
-    const int kSteps = reporter.smoke() ? 20 : 48;
-    const int kMixSteps = reporter.smoke() ? 5 : 10;  // untimed epilogue
+    const int kAppendSteps = reporter.smoke() ? 20 : 48;
+    const int kMixSteps = reporter.smoke() ? 5 : 10;
     const int kOpsPerStep = 6;
     Rng rng(kSeed);
     std::vector<std::string> universe = rng.DistinctStrings(
-        "01", 3, 12, kInitial + (kSteps + kMixSteps) * kOpsPerStep + 8);
+        "01", 3, 12, kInitial + (kAppendSteps + kMixSteps) * kOpsPerStep + 8);
     std::vector<Tuple> initial;
     initial.reserve(kInitial);
     for (int i = 0; i < kInitial; ++i) initial.push_back({universe[i]});
@@ -373,14 +364,12 @@ int Run(int argc, char** argv) {
     std::vector<std::string> model(universe.begin(),
                                    universe.begin() + kInitial);
     size_t pool_next = static_cast<size_t>(kInitial);
-    std::vector<std::vector<TupleDelta>> batches;      // timed, append-only
-    std::vector<std::vector<TupleDelta>> mix_batches;  // untimed, mixed
-    int total_ops = 0;
-    for (int s = 0; s < kSteps + kMixSteps; ++s) {
-      bool timed = s < kSteps;
+    std::vector<std::vector<TupleDelta>> batches;
+    for (int s = 0; s < kAppendSteps + kMixSteps; ++s) {
+      bool append = s < kAppendSteps;
       std::vector<TupleDelta> batch;
       for (int k = 0; k < kOpsPerStep; ++k) {
-        bool do_insert = timed || rng.NextBelow(10) < 5;
+        bool do_insert = append || rng.NextBelow(10) < 5;
         if (do_insert && pool_next < universe.size()) {
           const std::string& str = universe[pool_next++];
           model.push_back(str);
@@ -392,19 +381,12 @@ int Run(int argc, char** argv) {
           model.pop_back();
         }
       }
-      if (timed) {
-        total_ops += static_cast<int>(batch.size());
-        batches.push_back(std::move(batch));
-      } else {
-        mix_batches.push_back(std::move(batch));
-      }
+      batches.push_back(std::move(batch));
     }
 
-    // The battery: a bare atom (patchable under inserts AND deletes) and
-    // two linear-positive queries whose from-scratch compilation is
-    // product-heavy (prefix closure with a letter filter; a lexleq x
-    // leqlen double product) — exactly the shape where patching the small
-    // delta and union-ing into the old answer beats recompiling.
+    // The battery: a bare atom and two single-occurrence queries whose
+    // compilation is product-heavy (prefix closure with a letter filter; a
+    // lexleq x leqlen double product).
     FormulaPtr q_bare = Q("R(x)");
     FormulaPtr q_lin = Q("exists y. R(y) & x <= y & last[1](x)");
     FormulaPtr q_lin2 = Q("exists y. R(y) & lexleq(x, y) & leqlen(x, y)");
@@ -414,7 +396,6 @@ int Run(int argc, char** argv) {
     AutomatonStore id_store(true);
 
     struct ArmResult {
-      double seconds = 0;
       bool ok = true;
       std::vector<uint64_t> counts;
       std::vector<uint64_t> ids;
@@ -432,47 +413,26 @@ int Run(int argc, char** argv) {
       opts.enable_incremental = incremental;
       serve::QueryServer server(std::move(start), opts);
       std::unique_ptr<serve::Session> session = server.OpenSession();
-      // Answer automata are stashed as cheap shared handles during the
-      // timed replay and fingerprinted afterwards — verification work is
-      // identical across arms and not part of what's being measured.
-      std::vector<TrackAutomaton> compiled;
-      compiled.reserve((batches.size() + mix_batches.size()) * 3);
       auto record = [&](const FormulaPtr& f) {
         Result<TrackAutomaton> r = session->Compile(f);
         if (!r.ok()) {
           out.ok = false;
           return;
         }
-        compiled.push_back(*std::move(r));
+        out.counts.push_back(r->CountUpToLength(14));
+        out.ids.push_back(id_store.Intern(r->dfa()).id());
+        out.safe.push_back(r->IsFinite() ? 1 : 0);
       };
-      auto replay_step = [&](const std::vector<TupleDelta>& batch) {
+      for (const std::vector<TupleDelta>& batch : batches) {
         if (!server.CommitDeltas(batch).ok()) {
           out.ok = false;
-          return;
+          break;
         }
         session->Refresh();
         record(q_bare);
         record(q_lin);
         record(q_lin2);
-      };
-      out.seconds = TimeSeconds([&] {
-        for (const std::vector<TupleDelta>& batch : batches) {
-          replay_step(batch);
-          if (!out.ok) return;
-        }
-      });
-      // Untimed mixed epilogue: same commits, same battery, same
-      // fingerprint stream — delete patching (and the recompile fallback
-      // for non-delete-patchable answers) gets the identical-stream check
-      // without muddying the append-throughput number.
-      for (const std::vector<TupleDelta>& batch : mix_batches) {
-        replay_step(batch);
         if (!out.ok) break;
-      }
-      for (const TrackAutomaton& a : compiled) {
-        out.counts.push_back(a.CountUpToLength(14));
-        out.ids.push_back(id_store.Intern(a.dfa()).id());
-        out.safe.push_back(a.IsFinite() ? 1 : 0);
       }
       if (server.incremental() != nullptr) {
         out.incr_stats = server.incremental()->stats();
@@ -489,25 +449,13 @@ int Run(int argc, char** argv) {
     bool ids_agree =
         both_ok && !patched.ids.empty() && patched.ids == recompiled.ids;
     bool safe_agree = both_ok && patched.safe == recompiled.safe;
-    double ups_incr =
-        patched.seconds > 0 ? total_ops / patched.seconds : 0.0;
-    double ups_full =
-        recompiled.seconds > 0 ? total_ops / recompiled.seconds : 0.0;
-    double speedup =
-        patched.seconds > 0 ? recompiled.seconds / patched.seconds : 0.0;
     std::printf(
-        "      %d timed append commits / %d effective ops, 3 queries per "
-        "step; +%d untimed mixed commits (correctness only)\n",
-        kSteps, total_ops, kMixSteps);
+        "      %d append + %d mixed commits of %d ops, 3 queries per step\n",
+        kAppendSteps, kMixSteps, kOpsPerStep);
     std::printf(
-        "      incremental %.4fs (%.0f updates/sec), full recompile %.4fs "
-        "(%.0f updates/sec): %.1fx\n",
-        patched.seconds, ups_incr, recompiled.seconds, ups_full, speedup);
-    std::printf(
-        "      index: %lld trie/answer patch(es) (%lld answer-level), "
-        "%lld recompile(s), %lld compaction(s), %lld unchanged hit(s)\n",
+        "      index: %lld trie patch(es), %lld recompile(s), "
+        "%lld compaction(s), %lld unchanged hit(s)\n",
         static_cast<long long>(patched.incr_stats.patches),
-        static_cast<long long>(patched.incr_stats.answer_patches),
         static_cast<long long>(patched.incr_stats.recompiles),
         static_cast<long long>(patched.incr_stats.compactions),
         static_cast<long long>(patched.incr_stats.unchanged_hits));
@@ -516,14 +464,8 @@ int Run(int argc, char** argv) {
         "agree: %s\n",
         answers_agree ? "yes" : "NO", ids_agree ? "yes" : "NO",
         safe_agree ? "yes" : "NO");
-    reporter.AddScalar("incr.updates_per_sec_incr", ups_incr);
-    reporter.AddScalar("incr.updates_per_sec_full", ups_full);
-    reporter.AddScalar("incr.update_speedup", speedup);
     reporter.AddScalar("incr.patches",
                        static_cast<double>(patched.incr_stats.patches));
-    reporter.AddScalar(
-        "incr.answer_patches",
-        static_cast<double>(patched.incr_stats.answer_patches));
     reporter.AddScalar("incr.recompiles",
                        static_cast<double>(patched.incr_stats.recompiles));
     reporter.AddScalar(

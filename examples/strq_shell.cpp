@@ -718,13 +718,13 @@ class Shell {
     if (server_->incremental() != nullptr) {
       const incr::Stats inc = server_->incremental()->stats();
       Printf(out,
-             "  incremental: %lld patch(es) (%lld answer-level), %lld "
-             "recompile(s), %lld compaction(s), %lld unchanged hit(s)\n",
+             "  incremental: %lld trie patch(es), %lld recompile(s), %lld "
+             "compaction(s), %lld unchanged hit(s), %lld answer hit(s)\n",
              static_cast<long long>(inc.patches),
-             static_cast<long long>(inc.answer_patches),
              static_cast<long long>(inc.recompiles),
              static_cast<long long>(inc.compactions),
-             static_cast<long long>(inc.unchanged_hits));
+             static_cast<long long>(inc.unchanged_hits),
+             static_cast<long long>(inc.answer_hits));
     }
     std::map<std::string, obs::Histogram::Snapshot> hists =
         obs::MetricsRegistry::Global().HistSnapshot();

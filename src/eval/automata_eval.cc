@@ -49,28 +49,17 @@ std::string CompileSpanDetail(const FormulaPtr& f) {
 // Every automaton is obtained through the shared AtomCache: atoms and table
 // tries come out interned against the cache's AutomatonStore, and all
 // first-order operations below memoize in that store's computed table.
-// A delta compile substitutes `contents` for the stored relation `name`;
-// the trie is cached under "relovr:<tag>:<revision>" (see
-// AutomataEvaluator::CompileWithRelationOverride).
-struct RelationOverride {
-  const std::string* name = nullptr;
-  const Relation* contents = nullptr;
-  const std::string* tag = nullptr;
-};
-
 class Compiler {
  public:
   Compiler(const Database* db, AtomCache* cache,
            ParallelOptions parallel = ParallelOptions{1},
            const std::unordered_set<const Formula*>* parallel_folds = nullptr,
-           TrieProvider* provider = nullptr,
-           RelationOverride override_rel = RelationOverride{})
+           TrieProvider* provider = nullptr)
       : db_(db),
         cache_(cache),
         parallel_(parallel),
         parallel_folds_(parallel_folds),
-        provider_(provider),
-        override_(override_rel) {}
+        provider_(provider) {}
 
   Result<TrackAutomaton> CompileQuery(const FormulaPtr& f) {
     return CompileQuery(f, AutomataEvaluator::FreeVarOrder(f));
@@ -272,10 +261,7 @@ class Compiler {
   }
 
   Result<TrackAutomaton> CompileRelation(const Formula& f) {
-    bool overridden =
-        override_.name != nullptr && f.relation == *override_.name;
-    const Relation* rel =
-        overridden ? override_.contents : db_->Find(f.relation);
+    const Relation* rel = db_->Find(f.relation);
     if (rel == nullptr) {
       return InvalidArgumentError("unknown relation " + f.relation);
     }
@@ -287,13 +273,6 @@ class Compiler {
     std::vector<VarId> aux;
     STRQ_ASSIGN_OR_RETURN(std::vector<VarId> ids,
                           ResolveArgs(f.args, &defs, &aux));
-    if (overridden) {
-      STRQ_ASSIGN_OR_RETURN(
-          TrackAutomaton atom,
-          cache_->TableTrie("relovr:" + *override_.tag + ":" + Rev(), ids,
-                            [rel] { return rel->tuples(); }));
-      return FinishAtom(std::move(atom), std::move(defs), aux);
-    }
     if (provider_ != nullptr) {
       STRQ_ASSIGN_OR_RETURN(TrackAutomaton atom,
                             provider_->RelationTrie(*db_, f.relation, ids));
@@ -614,7 +593,6 @@ class Compiler {
   ParallelOptions parallel_;
   const std::unordered_set<const Formula*>* parallel_folds_;
   TrieProvider* provider_ = nullptr;
-  RelationOverride override_;
   std::map<std::string, VarId> scope_;
   int next_var_ = 0;
 };
@@ -841,34 +819,6 @@ Result<std::vector<std::vector<std::string>>> AutomataEvaluator::TopK(
   }
   STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f));
   return product.TopK(k, max_len);
-}
-
-Result<TrackAutomaton> AutomataEvaluator::CompileWithRelationOverride(
-    const FormulaPtr& f, const std::string& relation, const Relation& contents,
-    const std::string& cache_tag) {
-  STRQ_RETURN_IF_ERROR(CheckDeadline());
-  std::vector<std::string> order = FreeVarOrder(f);
-  // Plans are semantics-preserving rewrites, so the full-contents plan is
-  // valid for the substituted contents too (and reusing it keeps the plan
-  // cache warm instead of polluting it with delta-sized variants).
-  plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
-  RelationOverride override_rel;
-  override_rel.name = &relation;
-  override_rel.contents = &contents;
-  override_rel.tag = &cache_tag;
-  Compiler compiler(db_, cache_.get(), parallel_,
-                    planned.parallel_folds.get(), trie_provider_.get(),
-                    override_rel);
-  STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel,
-                        compiler.CompileQuery(planned.formula, order));
-  std::vector<VarId> want;
-  for (size_t i = 0; i < order.size(); ++i) {
-    want.push_back(static_cast<VarId>(i));
-  }
-  if (rel.vars() != want) {
-    STRQ_ASSIGN_OR_RETURN(rel, rel.Cylindrified(want));
-  }
-  return rel;
 }
 
 Result<Relation> AutomataEvaluator::Evaluate(const FormulaPtr& f,

@@ -113,20 +113,6 @@ class AutomataEvaluator {
   // lexicographic order of the free-variable names (see FreeVarOrder).
   Result<TrackAutomaton> Compile(const FormulaPtr& f);
 
-  // Compiles φ with occurrences of `relation` reading `contents` instead of
-  // the database's stored relation (same arity required). This is the
-  // delta-compile primitive of answer maintenance: for a linear-positive
-  // query, Q[R ∪ δ] = Q[R] ∪ Q[δ], and this call produces Q[δ]. The trie
-  // for `contents` is cached under "relovr:<cache_tag>:<revision>" — the
-  // tag must uniquely identify the contents (src/incr uses a process-unique
-  // counter); the revision suffix lets dead-snapshot eviction reclaim the
-  // entry. Does not feed Planner::RecordActual (delta sizes would poison
-  // the full-compile feedback).
-  Result<TrackAutomaton> CompileWithRelationOverride(const FormulaPtr& f,
-                                                     const std::string& relation,
-                                                     const Relation& contents,
-                                                     const std::string& cache_tag);
-
   // The column order used for answer relations: sorted free-variable names.
   static std::vector<std::string> FreeVarOrder(const FormulaPtr& f);
 

@@ -42,11 +42,8 @@ void NetInsert(const std::string& s, std::set<std::string>* primary,
 
 IncrementalIndex::IncrementalIndex(const VersionedDatabase* db,
                                    std::shared_ptr<AtomCache> cache,
-                                   std::shared_ptr<plan::Planner> planner,
                                    Options options)
-    : db_(db), cache_(std::move(cache)), planner_(std::move(planner)),
-      options_(options) {
-  if (planner_ == nullptr) planner_ = std::make_shared<plan::Planner>();
+    : db_(db), cache_(std::move(cache)), options_(options) {
   DbSnapshot snap = db_->Snapshot();
   std::lock_guard<std::mutex> lock(mu_);
   SeedDomLocked(snap.db());
@@ -239,14 +236,12 @@ bool IncrementalIndex::MaybeCompact(BaseState* st,
   return true;
 }
 
-void IncrementalIndex::CountPatch(int64_t ns, bool answer_level) {
+void IncrementalIndex::CountPatch(int64_t ns) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.patches;
-    if (answer_level) ++stats_.answer_patches;
   }
   obs::Count(obs::kIncrPatches);
-  if (answer_level) obs::Count(obs::kIncrAnswerPatches);
   obs::Observe(obs::kHistIncrPatchNs, ns);
 }
 
@@ -317,7 +312,7 @@ Result<TrackAutomaton> IncrementalIndex::BuildRelationTrie(
         Result<TrackAutomaton> patched =
             ApplyPatch(*st.base, adds, dels, &delta_states);
         if (patched.ok()) {
-          CountPatch(ElapsedNs(start), /*answer_level=*/false);
+          CountPatch(ElapsedNs(start));
           MaybeCompact(&st, *patched, rev, window_ops, delta_states);
           return patched;
         }
@@ -365,7 +360,7 @@ Result<TrackAutomaton> IncrementalIndex::BuildDomTrie(const Database& db) {
         Result<TrackAutomaton> patched =
             ApplyPatch(*st.base, adds, dels, &delta_states);
         if (patched.ok()) {
-          CountPatch(ElapsedNs(start), /*answer_level=*/false);
+          CountPatch(ElapsedNs(start));
           MaybeCompact(&st, *patched, rev, window_ops, delta_states);
           return patched;
         }
@@ -467,95 +462,6 @@ std::shared_ptr<const DomainTrie> IncrementalIndex::PrefixTrieAt(
 // Answer maintenance
 // ---------------------------------------------------------------------------
 
-void IncrementalIndex::AnalyzeFormula(const FormulaPtr& f, bool positive_path,
-                                      AnswerEntry* e) {
-  if (f == nullptr) return;
-  switch (f->kind) {
-    case FormulaKind::kTrue:
-    case FormulaKind::kFalse:
-      return;
-    case FormulaKind::kPred:
-      // adom(t) changes under inserts into ANY relation, so its presence
-      // anywhere (any polarity) blocks answer patching.
-      if (f->pred == PredKind::kAdom) e->adom_free = false;
-      return;
-    case FormulaKind::kRelation:
-      ++e->occurrences[f->relation];
-      if (positive_path) ++e->positive_occurrences[f->relation];
-      return;
-    case FormulaKind::kNot:
-      AnalyzeFormula(f->left, false, e);
-      return;
-    case FormulaKind::kAnd:
-    case FormulaKind::kOr:
-      // ∧/∨ distribute over the answer union (φ ∧ (ψ∪δ) = (φ∧ψ) ∪ (φ∧δ)).
-      AnalyzeFormula(f->left, positive_path, e);
-      AnalyzeFormula(f->right, positive_path, e);
-      return;
-    case FormulaKind::kImplies:
-      // φ → ψ ≡ ¬φ ∨ ψ: the antecedent flips polarity, the consequent is
-      // still an Or context.
-      AnalyzeFormula(f->left, false, e);
-      AnalyzeFormula(f->right, positive_path, e);
-      return;
-    case FormulaKind::kIff:
-      AnalyzeFormula(f->left, false, e);
-      AnalyzeFormula(f->right, false, e);
-      return;
-    case FormulaKind::kExists:
-      if (f->range != QuantRange::kAll) e->adom_free = false;
-      AnalyzeFormula(f->left, positive_path && f->range == QuantRange::kAll,
-                     e);
-      return;
-    case FormulaKind::kForall:
-      if (f->range != QuantRange::kAll) e->adom_free = false;
-      AnalyzeFormula(f->left, false, e);
-      return;
-  }
-}
-
-namespace {
-
-// f = R(x₁..x_k) with pairwise-distinct variable arguments? Fills the
-// column permutation: answer track j (sorted variable names) reads relation
-// column perm[j].
-bool DetectBareAtom(const FormulaPtr& f, std::string* rel,
-                    std::vector<int>* perm) {
-  if (f == nullptr || f->kind != FormulaKind::kRelation) return false;
-  std::vector<std::string> names;
-  for (const TermPtr& arg : f->args) {
-    if (arg == nullptr || arg->kind != TermKind::kVar) return false;
-    names.push_back(arg->var);
-  }
-  std::vector<std::string> sorted = names;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-    return false;
-  }
-  perm->clear();
-  for (const std::string& name : sorted) {
-    auto it = std::find(names.begin(), names.end(), name);
-    perm->push_back(static_cast<int>(it - names.begin()));
-  }
-  *rel = f->relation;
-  return true;
-}
-
-std::vector<Tuple> PermuteTuples(const std::vector<Tuple>& tuples,
-                                 const std::vector<int>& perm) {
-  std::vector<Tuple> out;
-  out.reserve(tuples.size());
-  for (const Tuple& t : tuples) {
-    Tuple p;
-    p.reserve(perm.size());
-    for (int i : perm) p.push_back(t[static_cast<size_t>(i)]);
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<TrackAutomaton> IncrementalIndex::CompileAnswer(AutomataEvaluator& eval,
                                                        const FormulaPtr& f,
                                                        const Database& db) {
@@ -576,18 +482,7 @@ Result<TrackAutomaton> IncrementalIndex::CompileAnswer(AutomataEvaluator& eval,
     }
   }
 
-  if (entry.has_value() && entry->rev == rev && entry->answer.has_value()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.answer_hits;
-    return *entry->answer;
-  }
-  if (entry.has_value() && rev < entry->rev) {
-    // A pinned snapshot older than the maintained answer: compile plainly
-    // (plan + atom caches still help) and leave the entry anchored forward.
-    return eval.Compile(f);
-  }
-
-  auto store_entry = [&](AnswerEntry e) {
+  auto store_entry = [&](const TrackAutomaton& answer) {
     std::lock_guard<std::mutex> lock(answers_mu_);
     if (answers_.size() > options_.max_answer_entries) answers_.clear();
     std::vector<AnswerEntry>& bucket = answers_[h];
@@ -595,129 +490,38 @@ Result<TrackAutomaton> IncrementalIndex::CompileAnswer(AutomataEvaluator& eval,
       if (StructurallyEqual(existing.formula, f)) {
         // Last writer wins; concurrent sessions racing forward both hold
         // correct automata for their own revisions.
-        if (e.rev >= existing.rev) existing = std::move(e);
+        if (rev >= existing.rev) existing = AnswerEntry{f, rev, answer};
         return;
       }
     }
-    bucket.push_back(std::move(e));
+    bucket.push_back(AnswerEntry{f, rev, answer});
   };
 
-  if (!entry.has_value()) {
-    AnswerEntry e;
-    e.formula = f;
-    AnalyzeFormula(f, /*positive_path=*/true, &e);
-    e.bare_atom = DetectBareAtom(f, &e.bare_atom_rel, &e.bare_perm);
-    STRQ_ASSIGN_OR_RETURN(TrackAutomaton compiled, eval.Compile(f));
-    e.rev = rev;
-    e.answer = compiled;
-    e.base_states = compiled.NumStates();
-    e.delta_states = 0;
-    store_entry(std::move(e));
-    return compiled;
-  }
-
-  // entry->rev < rev: decide patch vs recompile for the window in between.
-  std::optional<std::vector<TupleDelta>> chain =
-      db_->DeltasBetween(entry->rev, rev);
-  if (chain.has_value() && entry->answer.has_value()) {
-    NetDelta net = NetOf(*chain);
-    if (net.total_ops == 0) {
-      entry->rev = rev;
+  if (entry.has_value()) {
+    if (entry->rev == rev) {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      ++stats_.answer_hits;
+      return entry->answer;
+    }
+    if (rev < entry->rev) {
+      // A pinned snapshot older than the stored answer: compile plainly
+      // (plan + atom caches still help) and leave the entry anchored forward.
+      return eval.Compile(f);
+    }
+    std::optional<std::vector<TupleDelta>> chain =
+        db_->DeltasBetween(entry->rev, rev);
+    if (chain.has_value() && NetOf(*chain).total_ops == 0) {
+      // Every commit in the window cancelled out: same contents, same answer.
       CountUnchanged();
-      store_entry(*entry);
-      return *entry->answer;
+      store_entry(entry->answer);
+      return entry->answer;
     }
-    std::set<std::string> changed;
-    for (const auto& [rel, tuples] : net.adds) {
-      (void)tuples;
-      changed.insert(rel);
-    }
-    for (const auto& [rel, tuples] : net.dels) {
-      (void)tuples;
-      changed.insert(rel);
-    }
-    // Patches handle a single changed relation; multi-relation windows
-    // recompile (over tries that were themselves patched per relation).
-    if (changed.size() == 1) {
-      const std::string& name = *changed.begin();
-      const std::vector<Tuple>& adds = net.adds[name];
-      const std::vector<Tuple>& dels = net.dels[name];
-      int64_t delta_ops = static_cast<int64_t>(adds.size() + dels.size());
-      bool advise =
-          planner_->AdvisePatch(f, delta_ops, cache_->store().stats());
-
-      auto finish_patch = [&](const TrackAutomaton& patched,
-                              int64_t delta_states,
-                              std::chrono::steady_clock::time_point start)
-          -> TrackAutomaton {
-        CountPatch(ElapsedNs(start), /*answer_level=*/true);
-        entry->delta_states += delta_states;
-        double budget = options_.compact_ratio *
-                        static_cast<double>(entry->base_states);
-        if (static_cast<double>(entry->delta_states) > budget) {
-          entry->base_states = patched.NumStates();
-          entry->delta_states = 0;
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.compactions;
-          }
-          obs::Count(obs::kIncrCompactions);
-        }
-        entry->rev = rev;
-        entry->answer = patched;
-        store_entry(*entry);
-        return patched;
-      };
-
-      if (entry->bare_atom && entry->bare_atom_rel == name && advise) {
-        // Splice: the answer of R(x̄) is R's tuple set with columns in
-        // sorted-variable order, so the delta applies directly.
-        auto start = std::chrono::steady_clock::now();
-        int64_t delta_states = 0;
-        Result<TrackAutomaton> patched =
-            ApplyPatch(*entry->answer, PermuteTuples(adds, entry->bare_perm),
-                       PermuteTuples(dels, entry->bare_perm), &delta_states);
-        if (patched.ok()) return finish_patch(*patched, delta_states, start);
-      } else if (dels.empty() && entry->adom_free &&
-                 entry->occurrences[name] == 1 &&
-                 entry->positive_occurrences[name] == 1 && advise) {
-        // Linear-positive insert-only window: Q[R ∪ δ] = Q[R] ∪ Q[δ].
-        const Relation* stored = db.Find(name);
-        if (stored != nullptr) {
-          auto start = std::chrono::steady_clock::now();
-          Result<Relation> delta_rel = Relation::Create(stored->arity(), adds);
-          if (delta_rel.ok()) {
-            std::string tag;
-            {
-              std::lock_guard<std::mutex> lock(answers_mu_);
-              tag = std::to_string(next_override_tag_++);
-            }
-            Result<TrackAutomaton> delta_answer =
-                eval.CompileWithRelationOverride(f, name, *delta_rel, tag);
-            if (delta_answer.ok()) {
-              Result<TrackAutomaton> patched =
-                  TrackAutomaton::Union(*entry->answer, *delta_answer);
-              if (patched.ok()) {
-                return finish_patch(*patched, delta_answer->NumStates(),
-                                    start);
-              }
-            }
-          }
-        }
-      }
-    }
+    // Recompile against the new revision. The compile rides on the patched
+    // relation tries, so this pays the combine phase only.
+    CountRecompile();
   }
-
-  // Fallback: recompile against the new revision. The compile itself rides
-  // on the patched relation tries, so "recompile" here is the combine phase
-  // only, and RecordActual inside keeps AdvisePatch calibrated.
-  CountRecompile();
   STRQ_ASSIGN_OR_RETURN(TrackAutomaton compiled, eval.Compile(f));
-  entry->rev = rev;
-  entry->answer = compiled;
-  entry->base_states = compiled.NumStates();
-  entry->delta_states = 0;
-  store_entry(*entry);
+  store_entry(compiled);
   return compiled;
 }
 

@@ -17,7 +17,6 @@
 #include "logic/ast.h"
 #include "mta/atom_cache.h"
 #include "mta/track_automaton.h"
-#include "plan/planner.h"
 #include "relational/snapshot.h"
 
 namespace strq {
@@ -42,11 +41,10 @@ struct Options {
 };
 
 struct Stats {
-  int64_t patches = 0;          // tries/answers patched with a delta
-  int64_t recompiles = 0;       // full-rebuild fallbacks
+  int64_t patches = 0;          // relation/adom tries patched with a delta
+  int64_t recompiles = 0;       // trie rebuilds + answer recompiles
   int64_t compactions = 0;      // delta folds re-anchoring a base
   int64_t unchanged_hits = 0;   // empty delta window: old automaton reused
-  int64_t answer_patches = 0;   // subset of `patches` at the answer level
   int64_t answer_hits = 0;      // answer served at its maintained revision
 };
 
@@ -68,18 +66,15 @@ struct Stats {
 //    for Engine B's candidate sets): multiplicity-refcounted under
 //    inserts/deletes, so a commit updates them in O(delta) instead of
 //    rescanning every relation.
-//  * Answer automata (CompileAnswer): compiled answers for cached plans
-//    are maintained as (base ∪ delta ∖ retract) — single-atom queries are
-//    spliced directly; linear-positive queries under insert-only deltas
-//    gain Union(answer, Q[δ]) via a delta compile; everything else
-//    recompiles over the (already patched) tries. Planner::AdvisePatch
-//    arbitrates patch vs recompile from recorded actual sizes and store
-//    stats.
+//  * Answer automata (CompileAnswer): a per-revision memo of each
+//    formula's answer. A read at the memo's revision hits; a delta window
+//    whose net effect is empty reuses the stored answer; anything else
+//    recompiles, and the recompile reads the (already patched) tries.
 //
 // Identity invariant: every patch routes through the interned store, whose
-// results are canonically minimized, so a patched automaton has the SAME
-// canonical id as a fresh recompile of the same contents — answers, store
-// ids and IsSafe verdicts are invariant across the patch/recompile choice
+// results are canonically minimized, so a patched trie has the SAME
+// canonical id as a fresh rebuild of the same contents — answers, store
+// ids and IsSafe verdicts are invariant across the patch/rebuild choice
 // (the differential fuzz in tests/incr asserts this at every step).
 //
 // Thread-safe. Falls back to full recompilation whenever the delta chain
@@ -88,11 +83,9 @@ struct Stats {
 class IncrementalIndex : public TrieProvider, public DomainProvider {
  public:
   // `db` must outlive the index. `cache` supplies the alphabet, the store
-  // and the shared trie keyspace; `planner` supplies patch advice (null:
-  // a private default planner).
+  // and the shared trie keyspace.
   IncrementalIndex(const VersionedDatabase* db,
                    std::shared_ptr<AtomCache> cache,
-                   std::shared_ptr<plan::Planner> planner,
                    Options options = Options());
 
   // Commit subscription (VersionedDatabase::SetCommitHook target): keeps
@@ -120,9 +113,9 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
 
   // --- Answer maintenance ------------------------------------------------
   // The answer automaton for `f` against `db` (a snapshot of the watched
-  // VersionedDatabase), maintained across revisions. `eval` performs any
-  // full or delta compiles needed and should share this index's cache and
-  // planner (the serving layer passes its session evaluator).
+  // VersionedDatabase), memoized per revision. `eval` performs any compile
+  // needed and should share this index's cache (the serving layer passes
+  // its session evaluator).
   Result<TrackAutomaton> CompileAnswer(AutomataEvaluator& eval,
                                        const FormulaPtr& f,
                                        const Database& db);
@@ -147,17 +140,8 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
 
   struct AnswerEntry {
     FormulaPtr formula;  // collision guard under the structural hash
-    int64_t rev = -1;
-    std::optional<TrackAutomaton> answer;
-    int64_t base_states = 0;   // at last full compile / compaction
-    int64_t delta_states = 0;  // delta automata states since then
-    // Patchability analysis of the original formula (computed once):
-    bool adom_free = true;      // no kAdom atom, no restricted ranges
-    std::map<std::string, int> occurrences;           // per relation
-    std::map<std::string, int> positive_occurrences;  // on ∪-distributive paths
-    bool bare_atom = false;     // f = R(x₁..x_k), distinct variable args
-    std::string bare_atom_rel;
-    std::vector<int> bare_perm;  // answer column j = relation column perm[j]
+    int64_t rev;
+    TrackAutomaton answer;
   };
 
   // Net tuple effect of a replayed delta window, per relation.
@@ -200,16 +184,12 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   std::optional<std::pair<std::vector<std::string>, std::vector<std::string>>>
   DomNetBetweenLocked(int64_t from, int64_t to) const;
 
-  static void AnalyzeFormula(const FormulaPtr& f, bool positive_path,
-                             AnswerEntry* e);
-
-  void CountPatch(int64_t ns, bool answer_level);
+  void CountPatch(int64_t ns);
   void CountRecompile();
   void CountUnchanged();
 
   const VersionedDatabase* db_;
   std::shared_ptr<AtomCache> cache_;
-  std::shared_ptr<plan::Planner> planner_;
   Options options_;
 
   mutable std::mutex mu_;  // tries + domain state
@@ -235,7 +215,6 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
 
   mutable std::mutex answers_mu_;
   std::map<uint64_t, std::vector<AnswerEntry>> answers_;
-  int64_t next_override_tag_ = 0;
 
   mutable std::mutex stats_mu_;
   Stats stats_;

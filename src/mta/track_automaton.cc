@@ -227,10 +227,15 @@ Result<TrackAutomaton> TrackAutomaton::FromTuples(
   STRQ_ASSIGN_OR_RETURN(Dfa dfa, Dfa::Create(conv.num_letters(), 0,
                                              std::move(next),
                                              std::move(accepting)));
-  Result<TrackAutomaton> out = Create(store, alphabet, std::move(vars),
-                                      std::move(dfa));
-  if (out.ok()) span.Attr("out_states", out->NumStates());
-  return out;
+  // Every trie word is the convolution of a real tuple, so the language
+  // already lies inside Valid(arity): interning alone is canonical, with no
+  // Valid product and no second minimization (contrast Create).
+  DfaRef ref = store.Intern(dfa);
+  obs::Count(obs::kMtaStatesBuilt, ref->num_states());
+  obs::Count(obs::kMtaTransitionsBuilt, ref->NumTransitions());
+  span.Attr("out_states", ref->num_states());
+  return TrackAutomaton(alphabet, std::move(vars), conv, std::move(ref),
+                        &store);
 }
 
 Result<TrackAutomaton> TrackAutomaton::FromTuples(

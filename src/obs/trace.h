@@ -164,18 +164,18 @@ inline constexpr char kServeAdmissionRejects[] = "serve.admission_rejects";
 inline constexpr char kServeInflightDedupHits[] = "serve.inflight_dedup_hits";
 inline constexpr char kServeSnapshotsReclaimed[] = "serve.snapshots_reclaimed";
 inline constexpr char kServeBudgetRejects[] = "serve.budget_rejects";
-// Incremental-maintenance counters (src/incr): tries/answers patched with a
-// small delta instead of recompiled from tuples, full-recompile fallbacks
-// (broken delta chain, non-distributive formula, planner advice), delta
+// Incremental-maintenance counters (src/incr): tries patched with a small
+// delta instead of rebuilt from tuples, recompiles (trie rebuilds on a
+// broken or too-wide delta chain, answer recompiles after a change), delta
 // folds re-anchoring a base automaton, and unchanged-revision promotions
 // (the delta chain was empty so the old automaton was reused as-is).
 inline constexpr char kIncrPatches[] = "incr.patches";
 inline constexpr char kIncrRecompiles[] = "incr.recompiles";
 inline constexpr char kIncrCompactions[] = "incr.compactions";
 inline constexpr char kIncrUnchangedHits[] = "incr.unchanged_hits";
-// Answer-level maintenance: compiled answers extended by a delta compile
-// (insert-only linear-positive queries) or spliced by union/difference
-// (single-atom queries) without re-running the full compile.
+// Answer-level patches. Answers are recompiled over patched tries, never
+// patched, so nothing increments this; it stays because perfbench reports
+// it (always 0).
 inline constexpr char kIncrAnswerPatches[] = "incr.answer_patches";
 // MVCC snapshot surface: cache entries reclaimed when a snapshot's last pin
 // died (same event as serve.snapshots_reclaimed, counted in entries).
@@ -190,9 +190,8 @@ inline constexpr char kHistEnumerateNs[] = "phase.enumerate_ns";
 // End-to-end latency of one served request (admission to answer), as seen by
 // the serving layer across all concurrent sessions.
 inline constexpr char kHistServeLatencyNs[] = "serve.latency_ns";
-// Wall time of one successful incremental patch (trie or answer), the
-// quantity the patch-vs-recompile heuristic is trying to keep below a
-// fresh compile.
+// Wall time of one successful incremental trie patch, the quantity that
+// must stay below a rebuild from tuples for patching to pay.
 inline constexpr char kHistIncrPatchNs[] = "incr.patch_ns";
 // Wall time from lazy-query start to the first answer (witness found, first
 // top-k tuple, or membership verdict) — the quantity the lazy layer exists

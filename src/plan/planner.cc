@@ -159,8 +159,8 @@ void Planner::RecordActual(const FormulaPtr& f, const Database* db,
                            int64_t actual_states) {
   obs::Count(obs::kPlanActualStates, actual_states);
   {
-    // The cross-revision record feeds AdvisePatch; it is kept even with the
-    // plan cache disabled (patch advice is orthogonal to plan reuse).
+    // The cross-revision record feeds AdviseLazy; it is kept even with the
+    // plan cache disabled (lazy advice is orthogonal to plan reuse).
     uint64_t h = StructuralHash(f);
     std::lock_guard<std::mutex> lock(mu_);
     if (latest_actuals_.size() > kMaxLatestActuals) latest_actuals_.clear();
@@ -209,23 +209,6 @@ std::optional<int64_t> Planner::LastActualFor(const FormulaPtr& f) const {
     if (StructurallyEqual(entry.formula, f)) return entry.actual_states;
   }
   return std::nullopt;
-}
-
-bool Planner::AdvisePatch(const FormulaPtr& f, int64_t delta_ops,
-                          const AutomatonStore::Stats& store) const {
-  if (delta_ops <= 0) return false;
-  std::optional<int64_t> actual = LastActualFor(f);
-  // Never-compiled plans have no recompile-cost estimate to beat: patch
-  // only deltas small enough to be safe under any answer size.
-  if (!actual.has_value()) return delta_ops <= 16;
-  // Patch cost scales with the delta trie (a handful of states per tuple
-  // write plus one union/difference product each); recompile cost scales
-  // with rebuilding an answer of the recorded size. A warm computed table
-  // halves the expected product cost (the patch's operands are interned
-  // handles the store has likely combined before).
-  bool warm_ops = store.op_hits >= store.op_misses;
-  int64_t patch_cost = delta_ops * (warm_ops ? 4 : 8);
-  return patch_cost <= *actual + 64;
 }
 
 bool Planner::AdviseLazy(const FormulaPtr& f, double estimated_states) const {

@@ -120,21 +120,10 @@ class Planner {
                                    const Database* db) const;
 
   // Revision-agnostic variant: the most recently recorded actual size for
-  // the structurally-equal formula at ANY database revision. Incremental
-  // maintenance consults this across commits (the per-revision entry for
-  // the new head does not exist yet when the patch decision is made).
+  // the structurally-equal formula at ANY database revision. AdviseLazy
+  // consults this across commits (the per-revision entry for the new head
+  // does not exist yet when the lazy-vs-materialize decision is made).
   std::optional<int64_t> LastActualFor(const FormulaPtr& f) const;
-
-  // Patch-vs-recompile advice for incremental answer maintenance: given a
-  // delta of `delta_ops` tuple writes against a plan whose last full
-  // compile produced LastActualFor(f) states, is patching (delta compile +
-  // interned union/difference) expected to beat recompiling? Patch cost
-  // scales with the delta; recompile cost with the recorded answer size; a
-  // warm store computed table (op_hits ≥ op_misses) discounts the patch's
-  // products. Plans with no recorded actual only patch trivial deltas.
-  // See docs/INCREMENTAL.md for the policy.
-  bool AdvisePatch(const FormulaPtr& f, int64_t delta_ops,
-                   const AutomatonStore::Stats& store) const;
 
   // Lazy-vs-materialize advice for the early-exit query modes (Contains /
   // ExistsWitness / TopK): a query whose last full compile produced a small

@@ -51,10 +51,11 @@ struct ServerOptions {
   // Planner options for the shared planner (plan cache included).
   plan::PlannerOptions planner;
   // Incremental maintenance (src/incr): subscribe an IncrementalIndex to
-  // the commit stream and serve table tries, domain automata and answer
-  // automata by patching across revisions instead of recompiling. Answers
-  // and canonical store ids are identical either way; disable to get the
-  // recompile-everything baseline (bench_ablation's update-stream rows).
+  // the commit stream, serve table tries and domain automata by patching
+  // across revisions instead of rebuilding, and memoize answers per
+  // revision. Answers and canonical store ids are identical either way;
+  // disable to get the recompile-everything baseline (bench_ablation's
+  // update-stream rows).
   bool enable_incremental = true;
   incr::Options incremental;
 };

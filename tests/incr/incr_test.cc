@@ -1,9 +1,8 @@
 // The incremental-maintenance subsystem (src/incr): delta-absorbing table
-// tries, refcounted domain maintenance, (base ∪ delta ∖ retract) answer
-// automata, and the patch-vs-recompile arbitration. The load-bearing
-// invariant everywhere: a patched automaton is indistinguishable from a
-// fresh recompile — same answers, same canonical store id, same safety
-// verdict.
+// tries, refcounted domain maintenance and the per-revision answer memo.
+// The load-bearing invariant everywhere: a served automaton is
+// indistinguishable from a fresh recompile — same answers, same canonical
+// store id, same safety verdict.
 
 #include "incr/incr.h"
 
@@ -118,8 +117,8 @@ TEST(IncrTrieTest, WideDeltaRecompilesInsteadOfPatching) {
   opts.incremental.max_patch_ops = 2;  // any real batch exceeds this
   serve::QueryServer server(Fixture(), opts);
   const std::shared_ptr<IncrementalIndex>& index = server.incremental();
-  // Drive the trie layer directly (the answer layer would splice the bare
-  // atom and never ask for the trie).
+  // Drive the trie layer directly, so the stats move only for the trie
+  // (a served compile would also count the answer memo's recompile).
   DbSnapshot before = server.versioned_db().Snapshot();
   ASSERT_TRUE(index->RelationTrie(before.db(), "R", {0}).ok());  // seed base
   int64_t recompiles_before = index->stats().recompiles;
@@ -146,19 +145,18 @@ TEST(IncrTrieTest, WideDeltaRecompilesInsteadOfPatching) {
 TEST(IncrAnswerTest, LinearPositiveInsertOnlyDeltaPatchesAnswer) {
   serve::QueryServer server(Fixture());
   std::unique_ptr<serve::Session> session = server.OpenSession();
-  // Single positive R occurrence on a ∪-distributive path, adom-free:
-  // Q[R ∪ δ] = Q[R] ∪ Q[δ], so an insert-only commit patches the answer
-  // with a delta compile instead of recompiling.
+  // Single positive R occurrence: an insert-only commit reaches the answer
+  // through the patched R trie, and the answer past its memo's revision is
+  // recompiled over it.
   FormulaPtr f = Q("exists y. R(y) & x <= y & last[1](x)");
   ASSERT_TRUE(session->Compile(f).ok());
+  int64_t patches_before = server.incremental()->stats().patches;
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"1111"}, true},
                                    TupleDelta{"R", {"1010"}, true}})
                   .ok());
   session->Refresh();
-  int64_t answer_patches_before = server.incremental()->stats().answer_patches;
   ExpectMatchesFreshRecompile(*session, server, f);
-  EXPECT_GT(server.incremental()->stats().answer_patches,
-            answer_patches_before);
+  EXPECT_GT(server.incremental()->stats().patches, patches_before);
 }
 
 TEST(IncrAnswerTest, BareAtomPatchesDeletesToo) {
@@ -166,14 +164,14 @@ TEST(IncrAnswerTest, BareAtomPatchesDeletesToo) {
   std::unique_ptr<serve::Session> session = server.OpenSession();
   FormulaPtr f = Q("R(x)");
   ASSERT_TRUE(session->Compile(f).ok());
-  int64_t before = server.incremental()->stats().answer_patches;
+  int64_t before = server.incremental()->stats().patches;
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"01"}, false},
                                    TupleDelta{"R", {"110"}, false},
                                    TupleDelta{"R", {"111"}, true}})
                   .ok());
   session->Refresh();
   ExpectMatchesFreshRecompile(*session, server, f);
-  EXPECT_GT(server.incremental()->stats().answer_patches, before);
+  EXPECT_GT(server.incremental()->stats().patches, before);
   Result<Relation> rows = session->Query(f);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
@@ -182,21 +180,34 @@ TEST(IncrAnswerTest, BareAtomPatchesDeletesToo) {
 TEST(IncrAnswerTest, NonLinearAndAdomQueriesStayCorrectViaRecompile) {
   serve::QueryServer server(Fixture());
   std::unique_ptr<serve::Session> session = server.OpenSession();
-  // Two R occurrences: not delta-patchable; negated R: not positive; an
-  // adom-quantified sentence: not adom-free. All must fall back and still
-  // be indistinguishable from a fresh recompile.
+  // Every answer past its memo's revision is recompiled over the patched
+  // tries, whatever its shape: a bare atom, a single positive R
+  // occurrence, two R occurrences, a negated R and an adom-quantified
+  // formula. Each must be indistinguishable from a fresh recompile after
+  // an insert-only, a delete-heavy and a mixed commit.
   std::vector<FormulaPtr> battery;
+  battery.push_back(Q("R(x)"));
+  battery.push_back(Q("exists y. R(y) & x <= y & last[1](x)"));
   battery.push_back(Q("exists y. R(y) & R(x) & x <= y"));
   battery.push_back(Q("!R(x) & x <= '111'"));
   battery.push_back(Q("exists y in adom. x <= y & last[1](x)"));
-  for (const FormulaPtr& f : battery) ASSERT_TRUE(session->Compile(f).ok());
-  ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"1111"}, true},
-                                   TupleDelta{"R", {"0"}, false}})
-                  .ok());
-  session->Refresh();
-  for (const FormulaPtr& f : battery) {
-    ExpectMatchesFreshRecompile(*session, server, f);
+  const std::vector<std::vector<TupleDelta>> windows = {
+      {TupleDelta{"R", {"1111"}, true}, TupleDelta{"R", {"1010"}, true}},
+      {TupleDelta{"R", {"01"}, false}, TupleDelta{"R", {"110"}, false},
+       TupleDelta{"R", {"111"}, true}},
+      {TupleDelta{"R", {"0000"}, true}, TupleDelta{"R", {"0"}, false}},
+  };
+  for (const std::vector<TupleDelta>& window : windows) {
+    for (const FormulaPtr& f : battery) ASSERT_TRUE(session->Compile(f).ok());
+    ASSERT_TRUE(server.CommitDeltas(window).ok());
+    session->Refresh();
+    for (const FormulaPtr& f : battery) {
+      ExpectMatchesFreshRecompile(*session, server, f);
+    }
   }
+  Result<Relation> rows = session->Query(Q("R(x)"));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 5u);  // 4, + 2, - 2 + 1, + 1 - 1
 }
 
 TEST(IncrDomainTest, RefcountedDomainsMatchRecomputation) {
@@ -276,19 +287,18 @@ TEST(IncrDomainTest, EngineBProviderAgreesWithDefaultRecomputation) {
   }
 }
 
-TEST(IncrPlannerTest, AdvisePatchUsesRecordedActuals) {
+// AdviseLazy reads the revision-agnostic record, so an actual recorded at
+// one revision must still be visible when a later revision asks.
+TEST(IncrPlannerTest, LastActualForSurvivesRevisions) {
   plan::Planner planner;
   FormulaPtr f = Q("exists y. R(y) & x <= y");
-  AutomatonStore::Stats cold{};  // op_hits = op_misses = 0
-  // No recorded actual: only narrow deltas patch.
-  EXPECT_TRUE(planner.AdvisePatch(f, 4, cold));
-  EXPECT_FALSE(planner.AdvisePatch(f, 64, cold));
-  EXPECT_FALSE(planner.AdvisePatch(f, 0, cold));
-  // A recorded actual compile cost moves the threshold: patching is
-  // advised exactly while the modeled patch cost stays under it.
+  EXPECT_FALSE(planner.LastActualFor(f).has_value());
   Database db = Fixture();
   planner.RecordActual(f, &db, 10000);
-  EXPECT_TRUE(planner.AdvisePatch(f, 64, cold));
+  Database later = db;
+  ASSERT_TRUE(later.AddRelation("R", 1, {{"111"}}).ok());
+  ASSERT_NE(later.revision(), db.revision());
+  EXPECT_FALSE(planner.ActualFor(f, &later).has_value());
   ASSERT_TRUE(planner.LastActualFor(f).has_value());
   EXPECT_EQ(*planner.LastActualFor(f), 10000);
 }

@@ -8,6 +8,7 @@
 #include "base/rng.h"
 #include "base/string_ops.h"
 #include "mta/atoms.h"
+#include "obs/trace.h"
 #include "oracle/language_oracle.h"
 
 namespace strq {
@@ -77,6 +78,97 @@ TEST(TrackAutomatonTest, FromTuplesAllTuplesRoundTrip) {
   for (const auto& t : tuples) {
     EXPECT_NE(std::find(all->begin(), all->end(), t), all->end());
   }
+}
+
+// The unminimized trie over a relation's convolutions: the DFA that
+// FromTuples builds before interning.
+Dfa ConvolutionTrie(const ConvAlphabet& conv,
+                    const std::vector<std::vector<std::string>>& tuples) {
+  const int letters = conv.num_letters();
+  std::vector<std::vector<int>> next(1, std::vector<int>(letters, -1));
+  std::vector<bool> accepting(1, false);
+  for (const std::vector<std::string>& tuple : tuples) {
+    Result<std::vector<Symbol>> word = conv.ConvolveStrings(kBin, tuple);
+    EXPECT_TRUE(word.ok()) << word.status();
+    int q = 0;
+    for (Symbol a : *word) {
+      if (next[q][a] < 0) {
+        next[q][a] = static_cast<int>(next.size());
+        next.emplace_back(letters, -1);
+        accepting.push_back(false);
+      }
+      q = next[q][a];
+    }
+    accepting[q] = true;
+  }
+  const int sink = static_cast<int>(next.size());
+  next.emplace_back(letters, sink);
+  accepting.push_back(false);
+  for (std::vector<int>& row : next) {
+    for (int& t : row) t = t < 0 ? sink : t;
+  }
+  Result<Dfa> d = Dfa::Create(letters, 0, std::move(next),
+                              std::move(accepting));
+  EXPECT_TRUE(d.ok()) << d.status();
+  return *std::move(d);
+}
+
+// FromTuples interns its trie without the Valid(arity) product that Create
+// applies. That is sound only because every trie word is already a
+// canonical convolution, so the id must equal Create's on the same trie:
+// random relations of arity 1-3, the empty relation, a tuple of empty
+// strings and repeated tuples.
+TEST(TrackAutomatonTest, FromTuplesIdMatchesCreateOnTrie) {
+  Rng rng(20261019);
+  for (int iter = 0; iter < 90; ++iter) {
+    const int arity = 1 + iter % 3;
+    std::vector<std::vector<std::string>> tuples;
+    if (iter >= 3 && iter < 6) tuples.push_back(std::vector<std::string>(arity));
+    for (int i = iter >= 6 ? rng.NextInt(1, 8) : 0; i > 0; --i) {
+      std::vector<std::string> t;
+      for (int c = 0; c < arity; ++c) t.push_back(rng.NextString("01", 0, 4));
+      tuples.push_back(t);
+      if (rng.NextBelow(4) == 0) tuples.push_back(t);
+    }
+    std::vector<VarId> vars;
+    for (int c = 0; c < arity; ++c) vars.push_back(2 * c + 1);
+    Result<ConvAlphabet> conv = ConvAlphabet::Create(kBin.size(), arity);
+    ASSERT_TRUE(conv.ok());
+    AutomatonStore store(true);
+    Result<TrackAutomaton> built =
+        TrackAutomaton::FromTuples(store, kBin, vars, tuples);
+    Result<TrackAutomaton> created = TrackAutomaton::Create(
+        store, kBin, vars, ConvolutionTrie(*conv, tuples));
+    ASSERT_TRUE(built.ok()) << built.status();
+    ASSERT_TRUE(created.ok()) << created.status();
+    EXPECT_EQ(built->dfa_ref().id(), created->dfa_ref().id()) << iter;
+    EXPECT_EQ(built->vars(), vars);
+    for (const std::vector<std::string>& t : tuples) {
+      Result<bool> in = built->Contains(t);
+      ASSERT_TRUE(in.ok());
+      EXPECT_TRUE(*in) << iter;
+    }
+  }
+}
+
+// A work ceiling in the style of DfaMinimizeWorkTest: one FromTuples call
+// minimizes once (inside Intern) and explores no product states.
+TEST(TrackAutomatonWorkTest, FromTuplesMinimizesOnceWithoutProduct) {
+  Rng rng(300);
+  std::vector<std::vector<std::string>> tuples;
+  for (int i = 0; i < 300; ++i) {
+    tuples.push_back({rng.NextString("01", 0, 10), rng.NextString("01", 0, 10)});
+  }
+  obs::ScopedEnable tracing(true);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  AutomatonStore store(true);
+  int64_t minimizations = metrics.Get(obs::kDfaMinimizations);
+  int64_t explored = metrics.Get(obs::kDfaProductStatesExplored);
+  Result<TrackAutomaton> rel =
+      TrackAutomaton::FromTuples(store, kBin, {0, 1}, tuples);
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  EXPECT_EQ(metrics.Get(obs::kDfaMinimizations) - minimizations, 1);
+  EXPECT_EQ(metrics.Get(obs::kDfaProductStatesExplored) - explored, 0);
 }
 
 TEST(TrackAutomatonTest, AllTuplesRejectsInfinite) {
