@@ -45,6 +45,33 @@ for bin in build/tests/*_test; do
   fi
 done
 
+echo "==== observability lint: trace.h names <-> docs/OBSERVABILITY.md ===="
+# Every metric, histogram and gauge name defined in src/obs/trace.h (an
+# `inline constexpr char k...[] = "name";`, possibly split over two lines)
+# needs a table row whose first cell names it in backticks, and every
+# backticked name in a first cell must still be defined: docs describe the
+# code as it is.
+python3 - <<'EOF'
+import re, sys
+header = open("src/obs/trace.h").read()
+defined = set(re.findall(
+    r'inline\s+constexpr\s+char\s+k\w+\[\]\s*=\s*"([^"]+)"\s*;', header))
+documented = set()
+for line in open("docs/OBSERVABILITY.md"):
+    cell = re.match(r"^\|([^|]*)\|", line)
+    if cell:
+        documented.update(re.findall(r"`([^`]+)`", cell.group(1)))
+missing = sorted(defined - documented)
+stale = sorted(documented - defined)
+for name in missing:
+    print(f"  {name}: defined in src/obs/trace.h, no row in docs/OBSERVABILITY.md")
+for name in stale:
+    print(f"  {name}: row in docs/OBSERVABILITY.md, not defined in src/obs/trace.h")
+if missing or stale:
+    sys.exit(1)
+print(f"  {len(defined)} names, all documented, no stale rows")
+EOF
+
 echo "==== perfbench self-test: request digests + counter determinism ===="
 # Two traced runs of each single-client perfbench workload at one seed must
 # send byte-identical requests and move every traced counter identically,

@@ -31,6 +31,19 @@ int64_t InternedDfaBytes(const Dfa& dfa) {
 
 }  // namespace
 
+internal::InternedDfa::~InternedDfa() {
+  if (profile) obs::MemAdd(obs::MemCategory::kStore, -profile->bytes());
+}
+
+const AcceptProfile& DfaRef::Profile() const {
+  std::call_once(payload_->profile_once, [this] {
+    payload_->profile = std::make_unique<const AcceptProfile>(payload_->dfa);
+    obs::MemAdd(obs::MemCategory::kStore, payload_->profile->bytes());
+    obs::Count(obs::kLazyProfilesBuilt);
+  });
+  return *payload_->profile;
+}
+
 const AutomatonStore& AutomatonStore::Default() {
   static AutomatonStore* store = new AutomatonStore(true);
   return *store;
@@ -71,31 +84,33 @@ void AutomatonStore::CountOp(bool hit) const {
 DfaRef AutomatonStore::InternCanonical(Dfa canonical) const {
   if (!caching_enabled_) {
     CountUnique(false);
-    return DfaRef(std::make_shared<const Dfa>(std::move(canonical)),
+    return DfaRef(std::make_shared<const internal::InternedDfa>(
+                      std::move(canonical)),
                   NextInternId());
   }
   uint64_t hash = canonical.StructuralHash();
   UniqueStripe& stripe = UniqueStripeFor(hash);
   uint64_t id = 0;
-  std::shared_ptr<const Dfa> dfa;
+  std::shared_ptr<const internal::InternedDfa> payload;
   int64_t added = 0;
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
     auto [lo, hi] = stripe.entries.equal_range(hash);
     for (auto it = lo; it != hi; ++it) {
-      if (it->second.second->StructurallyEqual(canonical)) {
+      if (it->second.second->dfa.StructurallyEqual(canonical)) {
         CountUnique(true);
         return DfaRef(it->second.second, it->second.first);
       }
     }
     id = NextInternId();
-    dfa = std::make_shared<const Dfa>(std::move(canonical));
-    stripe.entries.emplace(hash, std::make_pair(id, dfa));
-    added = InternedDfaBytes(*dfa) + kUniqueEntryBytes;
+    payload = std::make_shared<const internal::InternedDfa>(
+        std::move(canonical));
+    stripe.entries.emplace(hash, std::make_pair(id, payload));
+    added = InternedDfaBytes(payload->dfa) + kUniqueEntryBytes;
   }
   CountUnique(false);
   AddBytes(added);
-  return DfaRef(std::move(dfa), id);
+  return DfaRef(std::move(payload), id);
 }
 
 DfaRef AutomatonStore::Intern(const Dfa& dfa) const {

@@ -11,10 +11,27 @@
 #include <utility>
 #include <vector>
 
+#include "automata/accept_profile.h"
 #include "automata/dfa.h"
 #include "base/status.h"
 
 namespace strq {
+
+namespace internal {
+
+// What a DfaRef points at: the interned automaton plus the analyses derived
+// from it on first use. They live exactly as long as the payload, so no
+// side table keyed by address can ever hand one to a different automaton.
+struct InternedDfa {
+  explicit InternedDfa(Dfa d) : dfa(std::move(d)) {}
+  ~InternedDfa();  // returns the profile's bytes to the kStore gauge
+
+  const Dfa dfa;
+  mutable std::once_flag profile_once;
+  mutable std::unique_ptr<const AcceptProfile> profile;
+};
+
+}  // namespace internal
 
 // A handle to an interned, canonically-minimized, immutable DFA. Copying a
 // DfaRef is a shared_ptr bump; the payload automaton is never mutated after
@@ -26,22 +43,27 @@ class DfaRef {
  public:
   DfaRef() = default;
 
-  const Dfa& operator*() const { return *dfa_; }
-  const Dfa* operator->() const { return dfa_.get(); }
-  const std::shared_ptr<const Dfa>& shared() const { return dfa_; }
+  const Dfa& operator*() const { return payload_->dfa; }
+  const Dfa* operator->() const { return &payload_->dfa; }
+
+  // The automaton's accept-distance profile, built on the first call for
+  // this interned payload (thread-safe, exactly once; counted by
+  // lazy.profiles_built) and freed with it. Its bytes are charged to the
+  // obs::MemCategory::kStore gauge.
+  const AcceptProfile& Profile() const;
 
   // Intern identity: 0 for a default-constructed (null) ref, otherwise a
   // process-unique id that is never reused — not even across stores or
   // Clear() — so computed-table keys built from ids can never alias.
   uint64_t id() const { return id_; }
-  explicit operator bool() const { return dfa_ != nullptr; }
+  explicit operator bool() const { return payload_ != nullptr; }
 
  private:
   friend class AutomatonStore;
-  DfaRef(std::shared_ptr<const Dfa> dfa, uint64_t id)
-      : dfa_(std::move(dfa)), id_(id) {}
+  DfaRef(std::shared_ptr<const internal::InternedDfa> payload, uint64_t id)
+      : payload_(std::move(payload)), id_(id) {}
 
-  std::shared_ptr<const Dfa> dfa_;
+  std::shared_ptr<const internal::InternedDfa> payload_;
   uint64_t id_ = 0;
 };
 
@@ -210,8 +232,9 @@ class AutomatonStore {
     std::mutex mu;
     // Structural hash -> interned entries with that hash (collisions
     // resolved by full structural comparison).
-    std::unordered_multimap<uint64_t,
-                            std::pair<uint64_t, std::shared_ptr<const Dfa>>>
+    std::unordered_multimap<
+        uint64_t,
+        std::pair<uint64_t, std::shared_ptr<const internal::InternedDfa>>>
         entries;
   };
   struct OpStripe {

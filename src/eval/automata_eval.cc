@@ -815,7 +815,16 @@ Result<std::vector<std::vector<std::string>>> AutomataEvaluator::TopK(
   plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
   if (!planner_->AdviseLazy(f, planned.estimated_states)) {
     STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f));
-    return rel.EnumerateTuples(max_len, CurrentMaxAnswerTuples(k));
+    // Under a budget cap below k, one tuple past the cap decides whether the
+    // cap truncated the answer: refuse exactly then, as the lazy route does.
+    const size_t cap = CurrentMaxAnswerTuples(k);
+    std::vector<std::vector<std::string>> tuples =
+        rel.EnumerateTuples(max_len, cap < k ? cap + 1 : k);
+    if (tuples.size() > cap) {
+      return ResourceExhaustedError(
+          "TopK hit the answer-tuple budget before k answers");
+    }
+    return tuples;
   }
   STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f));
   return product.TopK(k, max_len);

@@ -140,7 +140,9 @@ class AutomataEvaluator {
       const FormulaPtr& f);
   // The first k answers in convolution-shortlex order (the order
   // TrackAutomaton::EnumerateTuples produces), components capped at
-  // max_len characters.
+  // max_len characters. Both routes refuse with ResourceExhausted exactly
+  // when the request budget's max_answer_tuples is below k and an answer
+  // beyond it exists.
   Result<std::vector<std::vector<std::string>>> TopK(const FormulaPtr& f,
                                                      size_t k,
                                                      int max_len = 64);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <unordered_set>
 #include <utility>
 
 #include "automata/ops.h"
@@ -14,61 +15,71 @@ namespace lazy {
 
 namespace {
 
-// States from which no accepting state is reachable (backward reachability
-// from the accepting set, over condensed classes).
-std::vector<bool> DeadStates(const Dfa& d) {
-  const int n = d.num_states();
-  std::vector<std::vector<int>> preds(n);
-  for (int q = 0; q < n; ++q) {
-    for (int cls = 0; cls < d.num_classes(); ++cls) {
-      preds[d.NextByClass(q, cls)].push_back(q);
-    }
-  }
-  std::vector<bool> live(n, false);
-  std::vector<int> stack;
-  for (int q = 0; q < n; ++q) {
-    if (d.IsAccepting(q)) {
-      live[q] = true;
-      stack.push_back(q);
-    }
-  }
-  while (!stack.empty()) {
-    int q = stack.back();
-    stack.pop_back();
-    for (int p : preds[q]) {
-      if (!live[p]) {
-        live[p] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  std::vector<bool> dead(n);
-  for (int q = 0; q < n; ++q) dead[q] = !live[q];
-  return dead;
+// Bounds [lo, hi] on the lengths of the words accepted from a joint state
+// (hi == kUnbounded when unbounded); empty when lo > hi. `univ`: every word
+// is accepted from there.
+struct Range {
+  int lo;
+  int hi;
+  bool univ;
+  bool empty() const { return lo > hi; }
+};
+
+constexpr int kUnbounded = AcceptProfile::kUnbounded;
+constexpr Range kEmpty{kUnbounded, -1, false};
+constexpr Range kAll{0, kUnbounded, true};
+
+Range LeafRange(const AcceptProfile& profile, int q) {
+  return {profile.MinSteps(q), profile.MaxSteps(q), profile.univ(q)};
 }
 
-// States from which every reachable state (including the state itself)
-// accepts — the component's language is "true forever" from there. Greatest
-// fixpoint of univ(q) = accepting(q) ∧ ∀cls univ(next(q, cls)).
-std::vector<bool> UnivStates(const Dfa& d) {
-  const int n = d.num_states();
-  std::vector<bool> univ(n);
-  for (int q = 0; q < n; ++q) univ[q] = d.IsAccepting(q);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int q = 0; q < n; ++q) {
-      if (!univ[q]) continue;
-      for (int cls = 0; cls < d.num_classes(); ++cls) {
-        if (!univ[d.NextByClass(q, cls)]) {
-          univ[q] = false;
-          changed = true;
-          break;
-        }
-      }
+Range And(Range a, Range b) {
+  Range r{std::max(a.lo, b.lo), std::min(a.hi, b.hi), a.univ && b.univ};
+  return r.empty() ? kEmpty : r;
+}
+
+Range Or(Range a, Range b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi), a.univ || b.univ};
+}
+
+Range Not(Range a) {
+  if (a.univ) return kEmpty;
+  if (a.empty()) return kAll;
+  return {0, kUnbounded, false};
+}
+
+// The skeleton's range at `sig`, combined from the component profiles.
+Range EvalRange(const Skeleton& skeleton,
+                const std::vector<const AcceptProfile*>& profiles, int idx,
+                const std::vector<int>& sig) {
+  auto eval = [&](int child) {
+    return EvalRange(skeleton, profiles, child, sig);
+  };
+  const Skeleton::Node& node = skeleton.nodes[idx];
+  switch (node.kind) {
+    case Skeleton::Kind::kLeaf: {
+      const int c = 1 + node.leaf;
+      return LeafRange(*profiles[c], sig[c]);
     }
+    case Skeleton::Kind::kNot:
+      return Not(eval(node.left));
+    case Skeleton::Kind::kAnd:
+      return And(eval(node.left), eval(node.right));
+    case Skeleton::Kind::kOr:
+      return Or(eval(node.left), eval(node.right));
+    case Skeleton::Kind::kImplies:
+      return Or(Not(eval(node.left)), eval(node.right));
+    case Skeleton::Kind::kIff: {
+      Range l = eval(node.left);
+      Range r = eval(node.right);
+      return Or(And(l, r), And(Not(l), Not(r)));
+    }
+    case Skeleton::Kind::kConst:
+      return node.value ? kAll : kEmpty;
   }
-  return univ;
+  return kAll;
 }
 
 int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -145,12 +156,10 @@ LazyProduct::LazyProduct(Alphabet alphabet, ConvAlphabet conv, DfaRef valid,
       leaves_(std::move(leaves)),
       skeleton_(std::move(skeleton)) {
   components_.push_back(&*valid_);
-  for (const DfaRef& leaf : leaves_) components_.push_back(&*leaf);
-  dead_.reserve(components_.size());
-  univ_.reserve(components_.size());
-  for (const Dfa* d : components_) {
-    dead_.push_back(DeadStates(*d));
-    univ_.push_back(UnivStates(*d));
+  profiles_.push_back(&valid_.Profile());
+  for (const DfaRef& leaf : leaves_) {
+    components_.push_back(&*leaf);
+    profiles_.push_back(&leaf.Profile());
   }
 }
 
@@ -191,41 +200,6 @@ bool LazyProduct::EvalAccept(const std::vector<int>& sig) const {
   return eval(eval, skeleton_.root);
 }
 
-LazyProduct::Tri LazyProduct::EvalForever(int idx,
-                                          const std::vector<int>& sig) const {
-  const Skeleton::Node& node = skeleton_.nodes[idx];
-  auto as_int = [](Tri t) { return static_cast<int>(t); };
-  auto from_int = [](int v) { return static_cast<Tri>(v); };
-  switch (node.kind) {
-    case Skeleton::Kind::kLeaf: {
-      const int c = 1 + node.leaf;
-      if (dead_[c][sig[c]]) return Tri::kFalse;
-      if (univ_[c][sig[c]]) return Tri::kTrue;
-      return Tri::kUnknown;
-    }
-    case Skeleton::Kind::kNot:
-      return from_int(2 - as_int(EvalForever(node.left, sig)));
-    case Skeleton::Kind::kAnd:
-      return from_int(std::min(as_int(EvalForever(node.left, sig)),
-                               as_int(EvalForever(node.right, sig))));
-    case Skeleton::Kind::kOr:
-      return from_int(std::max(as_int(EvalForever(node.left, sig)),
-                               as_int(EvalForever(node.right, sig))));
-    case Skeleton::Kind::kImplies:
-      return from_int(std::max(2 - as_int(EvalForever(node.left, sig)),
-                               as_int(EvalForever(node.right, sig))));
-    case Skeleton::Kind::kIff: {
-      Tri l = EvalForever(node.left, sig);
-      Tri r = EvalForever(node.right, sig);
-      if (l == Tri::kUnknown || r == Tri::kUnknown) return Tri::kUnknown;
-      return l == r ? Tri::kTrue : Tri::kFalse;
-    }
-    case Skeleton::Kind::kConst:
-      return node.value ? Tri::kTrue : Tri::kFalse;
-  }
-  return Tri::kUnknown;
-}
-
 Result<int> LazyProduct::GetOrCreate(std::vector<int> sig) {
   auto it = ids_.find(sig);
   if (it != ids_.end()) {
@@ -244,8 +218,11 @@ Result<int> LazyProduct::GetOrCreate(std::vector<int> sig) {
   State state;
   state.sig = sig;
   state.accepting = EvalAccept(state.sig);
-  state.dead = dead_[0][state.sig[0]] ||
-               EvalForever(skeleton_.root, state.sig) == Tri::kFalse;
+  const Range range =
+      And(LeafRange(*profiles_[0], state.sig[0]),
+          EvalRange(skeleton_, profiles_, skeleton_.root, state.sig));
+  state.lo = range.lo;
+  state.hi = range.hi;
   const int id = static_cast<int>(states_.size());
   states_.push_back(std::move(state));
   ids_.emplace(std::move(sig), id);
@@ -289,7 +266,7 @@ Result<bool> LazyProduct::Contains(const std::vector<std::string>& tuple) {
                         conv_.ConvolveStrings(alphabet_, tuple));
   STRQ_ASSIGN_OR_RETURN(int cur, StartState());
   for (Symbol letter : word) {
-    if (states_[cur].dead) break;  // no extension accepts; verdict is fixed
+    if (states_[cur].dead()) break;  // no extension accepts; verdict is fixed
     const std::vector<int>& src = states_[cur].sig;
     std::vector<int> sig(components_.size());
     for (size_t c = 0; c < components_.size(); ++c) {
@@ -297,7 +274,7 @@ Result<bool> LazyProduct::Contains(const std::vector<std::string>& tuple) {
     }
     STRQ_ASSIGN_OR_RETURN(cur, GetOrCreate(std::move(sig)));
   }
-  const bool accepted = !states_[cur].dead && states_[cur].accepting;
+  const bool accepted = !states_[cur].dead() && states_[cur].accepting;
   obs::Observe(obs::kHistLazyFirstAnswerNs, ElapsedNs(t0));
   return accepted;
 }
@@ -309,7 +286,7 @@ Result<std::optional<std::vector<std::string>>> LazyProduct::ShortestWitness() {
     obs::Observe(obs::kHistLazyFirstAnswerNs, ElapsedNs(t0));
     return answer;
   };
-  if (states_[start].dead) return finish(std::nullopt);
+  if (states_[start].dead()) return finish(std::nullopt);
   if (states_[start].accepting) {
     obs::Count(obs::kLazyEarlyExits);
     return finish(conv_.DeconvolveStrings(alphabet_, {}));
@@ -337,7 +314,7 @@ Result<std::optional<std::vector<std::string>>> LazyProduct::ShortestWitness() {
     STRQ_ASSIGN_OR_RETURN(const std::vector<int>* row, Expand(cur));
     for (int letter = 0; letter < conv_.num_letters(); ++letter) {
       const int target = (*row)[letter];
-      if (states_[target].dead || visited(target)) continue;
+      if (states_[target].dead() || visited(target)) continue;
       mark(target);
       parent.emplace(target, std::make_pair(cur, static_cast<Symbol>(letter)));
       if (states_[target].accepting) {
@@ -362,44 +339,86 @@ Result<std::vector<std::vector<std::string>>> LazyProduct::TopK(size_t k,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::vector<std::string>> answers;
   if (k == 0) return answers;
-  const size_t limit = std::min(k, CurrentMaxAnswerTuples(k));
+  const size_t cap = CurrentMaxAnswerTuples(k);
+  // Under a cap below k, one answer past the cap decides whether the cap
+  // truncated the answer.
+  const size_t want = cap < k ? cap + 1 : k;
   STRQ_ASSIGN_OR_RETURN(int start, StartState());
-  // Prefix frontier in shortlex order: pop order equals answer order because
-  // children are pushed with letters ascending and the queue is FIFO.
-  std::deque<std::pair<int, std::vector<Symbol>>> queue;
-  if (!states_[start].dead) queue.emplace_back(start, std::vector<Symbol>{});
-  bool first_answer = true;
-  int64_t polls = 0;
-  while (!queue.empty()) {
-    if (((++polls) & 255) == 0) STRQ_RETURN_IF_ERROR(CheckDeadline());
-    auto [cur, word] = std::move(queue.front());
-    queue.pop_front();
-    if (states_[cur].accepting) {
-      if (first_answer) {
-        obs::Observe(obs::kHistLazyFirstAnswerNs, ElapsedNs(t0));
-        first_answer = false;
-      }
-      answers.push_back(conv_.DeconvolveStrings(alphabet_, word));
-      if (answers.size() >= limit) {
-        if (limit < k && !queue.empty()) {
-          return ResourceExhaustedError(
-              "lazy TopK hit the answer-tuple budget before k answers");
-        }
-        obs::Count(obs::kLazyEarlyExits);
-        return answers;
-      }
+  std::vector<Symbol> word;
+  // Records `word` if `state` accepts; false once `want` answers are in.
+  auto offer = [&](int state) {
+    if (!states_[state].accepting) return true;
+    if (answers.empty()) {
+      obs::Observe(obs::kHistLazyFirstAnswerNs, ElapsedNs(t0));
     }
-    if (static_cast<int>(word.size()) >= max_len) continue;
-    STRQ_ASSIGN_OR_RETURN(const std::vector<int>* row, Expand(cur));
-    for (int letter = 0; letter < conv_.num_letters(); ++letter) {
-      const int target = (*row)[letter];
-      if (states_[target].dead) continue;
-      std::vector<Symbol> next = word;
-      next.push_back(static_cast<Symbol>(letter));
-      queue.emplace_back(target, std::move(next));
+    answers.push_back(conv_.DeconvolveStrings(alphabet_, word));
+    return answers.size() < want;
+  };
+  auto fits = [this](int state, int steps) {
+    return states_[state].lo <= steps && steps <= states_[state].hi;
+  };
+  // Shortlex by exact length: for each L, a depth-first walk in ascending
+  // letter order enters a successor only if its range admits the steps left
+  // and it is not known to accept nothing in exactly that many steps. That
+  // failure memo is shared across lengths, so every dead end costs once
+  // and the walk stays polynomial in states × max_len plus the output; the
+  // explicit stack keeps any max_len safe.
+  std::unordered_set<uint64_t> failed;
+  auto key = [](int state, int steps) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(state)) << 32) |
+           static_cast<uint32_t>(steps);
+  };
+  struct Frame {
+    int state;
+    int letter;      // next letter to try
+    size_t answers;  // answers found before this frame was entered
+  };
+  std::vector<Frame> stack;
+  const int letters = conv_.num_letters();
+  int64_t polls = 0;
+  bool more = !fits(start, 0) || offer(start);
+  // A 64-bit length, so ++len cannot overflow when max_len is INT_MAX.
+  const int64_t last = std::min(max_len, states_[start].hi);
+  for (int64_t len = 1; more && len <= last; ++len) {
+    if (!fits(start, static_cast<int>(len))) continue;
+    stack.push_back({start, 0, answers.size()});
+    while (more && !stack.empty()) {
+      if (((++polls) & 255) == 0) STRQ_RETURN_IF_ERROR(CheckDeadline());
+      Frame& top = stack.back();
+      const int steps =
+          static_cast<int>(len - static_cast<int64_t>(word.size()));
+      if (top.letter == letters) {
+        if (answers.size() == top.answers) {
+          failed.insert(key(top.state, steps));
+        }
+        stack.pop_back();
+        if (!word.empty()) word.pop_back();
+        continue;
+      }
+      if (top.letter == 0) STRQ_RETURN_IF_ERROR(Expand(top.state).status());
+      const int letter = top.letter++;
+      const int child = states_[top.state].next[letter];
+      if (!fits(child, steps - 1)) continue;
+      word.push_back(static_cast<Symbol>(letter));
+      if (steps == 1) {
+        more = offer(child);
+        word.pop_back();
+      } else if (failed.count(key(child, steps - 1))) {
+        word.pop_back();
+      } else {
+        stack.push_back({child, 0, answers.size()});
+      }
     }
   }
-  if (first_answer) obs::Observe(obs::kHistLazyFirstAnswerNs, ElapsedNs(t0));
+  if (answers.size() > cap) {
+    return ResourceExhaustedError(
+        "lazy TopK hit the answer-tuple budget before k answers");
+  }
+  if (answers.empty()) {
+    obs::Observe(obs::kHistLazyFirstAnswerNs, ElapsedNs(t0));
+  } else if (answers.size() == cap) {
+    obs::Count(obs::kLazyEarlyExits);
+  }
   return answers;
 }
 

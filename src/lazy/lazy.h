@@ -13,18 +13,25 @@
 //                         accepting state, yielding a shortest answer tuple.
 //   * TopK(k)           — length-lexicographic (shortlex over canonical
 //                         convolutions) enumeration of the first k answers,
-//                         matching TrackAutomaton::EnumerateTuples order.
+//                         matching TrackAutomaton::EnumerateTuples order,
+//                         by a depth-first walk per exact length.
 //
-// States whose three-valued skeleton evaluation is false-forever (every
-// component that could still flip is dead) are pruned: they are created,
-// cached, and never expanded, which is what turns candidate enumeration into
-// dead-subtree pruning. Deadlines and product-state budgets
+// Every joint state carries a range [lo, hi] that bounds the lengths of the
+// words accepted from it, combined through the skeleton from the
+// components' accept-distance profiles (automata/accept_profile.h): AND
+// intersects the ranges, OR takes their hull, NOT is unbounded unless its
+// child is universal. A state with an empty range is dead: it is created,
+// cached, and never expanded, which is what turns candidate enumeration
+// into dead-subtree pruning; TopK also skips every successor whose range
+// misses the remaining length. Deadlines and product-state budgets
 // (base/budget.h) are polled at state-creation granularity, so a serving
 // deadline interrupts the product within a handful of states.
 //
 // The lazy layer interns nothing: component DfaRefs are read through their
 // public tables and joint states live only in this object's cache, so
-// canonical AutomatonStore ids are unaffected by lazy traffic.
+// canonical AutomatonStore ids are unaffected by lazy traffic. Component
+// profiles are built once per interned automaton (DfaRef::Profile) and
+// shared by every product over it.
 
 #ifndef STRQ_LAZY_LAZY_H_
 #define STRQ_LAZY_LAZY_H_
@@ -84,7 +91,9 @@ class LazyProduct {
 
   // The first `k` answers in shortlex order of their canonical convolutions
   // — the same order TrackAutomaton::EnumerateTuples produces — with
-  // convolution length capped at `max_len`.
+  // convolution length capped at `max_len`. ResourceExhausted exactly when
+  // the request budget's max_answer_tuples is below k and an answer beyond
+  // it exists.
   Result<std::vector<std::vector<std::string>>> TopK(size_t k, int max_len);
 
   int arity() const { return conv_.arity(); }
@@ -100,18 +109,15 @@ class LazyProduct {
   LazyProduct(Alphabet alphabet, ConvAlphabet conv, DfaRef valid,
               std::vector<DfaRef> leaves, Skeleton skeleton);
 
-  // Three-valued "forever" verdict for a state: kFalse = no extension (nor
-  // the current word) can satisfy the skeleton+valid conjunction; kTrue =
-  // the skeleton is satisfied for every extension (acceptance reduces to
-  // the valid component); kUnknown otherwise.
-  enum class Tri { kFalse, kUnknown, kTrue };
-
   struct State {
     std::vector<int> sig;       // [valid, leaf_0, ..., leaf_{n-1}]
     bool accepting = false;
-    bool dead = false;          // prune: never accepts from here
+    int lo = 0;                 // bounds on the lengths of the words
+    int hi = 0;                 // accepted from here (hi may be
+                                // AcceptProfile::kUnbounded)
     std::vector<int> next;      // lazily filled transition row (empty until
                                 // first expansion), indexed by letter
+    bool dead() const { return lo > hi; }  // prune: never accepts from here
   };
 
   struct SigHash {
@@ -126,7 +132,6 @@ class LazyProduct {
   Result<const std::vector<int>*> Expand(int state);
 
   bool EvalAccept(const std::vector<int>& sig) const;
-  Tri EvalForever(int node, const std::vector<int>& sig) const;
 
   Alphabet alphabet_;
   ConvAlphabet conv_;
@@ -134,12 +139,10 @@ class LazyProduct {
   std::vector<DfaRef> leaves_;
   Skeleton skeleton_;
 
-  // components_[0] = valid, components_[1+i] = leaf i (borrowed from the
-  // refs above). dead_[c][q]: no accepting state reachable from q in
-  // component c; univ_[c][q]: every state reachable from q accepts.
+  // components_[0] = valid, components_[1+i] = leaf i, and their
+  // accept-distance profiles (borrowed from the refs above).
   std::vector<const Dfa*> components_;
-  std::vector<std::vector<bool>> dead_;
-  std::vector<std::vector<bool>> univ_;
+  std::vector<const AcceptProfile*> profiles_;
 
   std::vector<State> states_;
   std::unordered_map<std::vector<int>, int, SigHash> ids_;

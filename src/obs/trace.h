@@ -93,6 +93,10 @@ inline constexpr char kDfaTableBytesDenseEquiv[] =
 // per joint symbol class of the two operands for each materialized pair.
 inline constexpr char kDfaProductTransitions[] =
     "dfa.product_transitions_computed";
+// Transitions an accept-distance profile build touched (src/automata/
+// accept_profile): a small constant times states × classes, so a build that
+// iterates to a fixpoint shows here without any timing.
+inline constexpr char kDfaProfileTransitions[] = "dfa.profile_transitions";
 // Thread-pool traffic (src/base/thread_pool): tasks submitted, and the
 // number of times a worker had to block waiting for work.
 inline constexpr char kPoolTasks[] = "pool.tasks";
@@ -147,6 +151,10 @@ inline constexpr char kConcatBoundedRounds[] = "concat.bounded_rounds";
 inline constexpr char kLazyStatesCreated[] = "lazy.states_created";
 inline constexpr char kLazyCacheHits[] = "lazy.cache_hits";
 inline constexpr char kLazyEarlyExits[] = "lazy.early_exits";
+// Accept-distance profiles built for interned automata on their first use by
+// a lazy product. Each interned automaton builds at most one, so on a warm
+// store this stays flat while lazy requests repeat.
+inline constexpr char kLazyProfilesBuilt[] = "lazy.profiles_built";
 // Planner counters (src/plan): plan-cache traffic, rewrite activity, and the
 // estimated-vs-actual state accounting ExplainAnalyze surfaces.
 inline constexpr char kPlanCacheHits[] = "plan.cache_hits";

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "automata/accept_profile.h"
 #include "automata/ops.h"
 #include "base/rng.h"
 #include "base/string_ops.h"
@@ -428,6 +429,76 @@ TEST(DfaTest, MinimizedMatchesWordOracleAndIsMinimal) {
   }
 }
 
+// Enumerate's length-bounded walk against a filter over every word, which
+// is shortlex by construction.
+TEST(DfaTest, EnumerateMatchesWordOracle) {
+  Rng rng(778);
+  for (int trial = 0; trial < 200; ++trial) {
+    int k = rng.NextInt(1, 3);
+    Dfa d = RandomDfa(rng, k, rng.NextInt(1, 12));
+    oracle::PlainDfa plain = oracle::ToPlain(d);
+    const int max_len = k <= 2 ? 7 : 5;
+    std::vector<std::vector<Symbol>> expected;
+    for (const oracle::Word& w : oracle::WordsUpTo(k, max_len)) {
+      if (plain.Accepts(w)) expected.emplace_back(w.begin(), w.end());
+    }
+    for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{100000}}) {
+      std::vector<std::vector<Symbol>> prefix(
+          expected.begin(),
+          expected.begin() + std::min(count, expected.size()));
+      EXPECT_EQ(d.Enumerate(max_len, count), prefix)
+          << "trial " << trial << " count " << count;
+    }
+  }
+}
+
+// The accept-distance profile against layered reachability on the plain
+// table: the lengths at which q accepts are those L with an accepting state
+// among the states reached in exactly L steps. A word accepted with length
+// in [n, 2n) pumps, so that range decides unboundedness.
+TEST(AcceptProfileTest, MatchesLayeredReachability) {
+  Rng rng(779);
+  for (int trial = 0; trial < 300; ++trial) {
+    int k = rng.NextInt(1, 3);
+    int n = rng.NextInt(1, 12);
+    Dfa d = RandomDfa(rng, k, n);
+    oracle::PlainDfa plain = oracle::ToPlain(d);
+    AcceptProfile profile(d);
+    for (int q = 0; q < n; ++q) {
+      std::vector<bool> layer(n, false);
+      layer[q] = true;
+      int min_len = -1;
+      int max_len = -1;
+      bool unbounded = false;
+      bool univ = true;
+      for (int len = 0; len < 2 * n; ++len) {
+        bool accepts = false;
+        std::vector<bool> next(n, false);
+        for (int p = 0; p < n; ++p) {
+          if (!layer[p]) continue;
+          accepts = accepts || plain.accepting[p];
+          univ = univ && plain.accepting[p];
+          for (int t : plain.next[p]) next[t] = true;
+        }
+        if (accepts) {
+          if (min_len < 0) min_len = len;
+          if (len >= n) unbounded = true;
+          if (len < n) max_len = len;
+        }
+        layer = std::move(next);
+      }
+      SCOPED_TRACE("trial " + std::to_string(trial) + " state " +
+                   std::to_string(q));
+      EXPECT_EQ(profile.dead(q), min_len < 0);
+      EXPECT_EQ(profile.univ(q), univ);
+      if (min_len < 0) continue;
+      EXPECT_EQ(profile.MinSteps(q), min_len);
+      EXPECT_EQ(profile.MaxSteps(q),
+                unbounded ? AcceptProfile::kUnbounded : max_len);
+    }
+  }
+}
+
 TEST(DfaMinimizeDifferentialTest, EquivalentDfasMinimizeIdentically) {
   // Two structurally different automata for the same language must collapse
   // to the same canonical representative (the property interning rests on).
@@ -586,6 +657,31 @@ TEST(DfaMinimizeWorkTest, ElementsMovedStayUnderHopcroftCeiling) {
     EXPECT_LE(moved, ceiling) << n << " states, " << d.num_classes()
                               << " classes, " << min.num_states() << " out";
   }
+}
+
+// dfa.profile_transitions counts every transition a profile build touches.
+// The build is a constant number of linear sweeps, so 6·n·C bounds it; the
+// greatest-fixpoint iteration it replaced costs ~n²·C on a chain. Distances
+// past 254 saturate: a valid lower bound, an unbounded upper one.
+TEST(AcceptProfileWorkTest, ChainBuildTouchesLinearlyManyTransitions) {
+  obs::ScopedEnable tracing(true);
+  std::vector<bool> last(4096, false);
+  last.back() = true;
+  Dfa chain = ChainDfa(4096, 2, last);
+  const int64_t n = chain.num_states();
+  int64_t before =
+      obs::MetricsRegistry::Global().Get(obs::kDfaProfileTransitions);
+  AcceptProfile profile(chain);
+  int64_t touched =
+      obs::MetricsRegistry::Global().Get(obs::kDfaProfileTransitions) - before;
+  EXPECT_GT(touched, 0);
+  EXPECT_LE(touched, 6 * n * chain.num_classes());
+  EXPECT_EQ(profile.MinSteps(0), AcceptProfile::kSaturated);
+  EXPECT_EQ(profile.MinSteps(4095 - 100), 100);
+  EXPECT_EQ(profile.MaxSteps(0), AcceptProfile::kUnbounded);
+  EXPECT_FALSE(profile.dead(0));
+  // Letter 1 leads every state back to the rejecting start.
+  EXPECT_FALSE(profile.univ(4095));
 }
 
 }  // namespace

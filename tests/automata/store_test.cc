@@ -1,5 +1,6 @@
 #include "automata/store.h"
 
+#include <thread>
 #include <vector>
 
 #include "automata/ops.h"
@@ -7,6 +8,7 @@
 #include "base/alphabet.h"
 #include "base/rng.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 
 namespace strq {
 namespace {
@@ -206,6 +208,42 @@ TEST(AutomatonStoreTest, DefaultStoreIsSharedAndCaching) {
   DfaRef a = d1.Intern(Regex("(0|1)*01110"));
   DfaRef b = d2.Intern(Regex("(0|1)*01110"));
   EXPECT_EQ(a.id(), b.id());
+}
+
+// The accept-distance profile belongs to the interned payload: every ref to
+// it, from any thread, sees one profile built once; its bytes join the
+// store gauge and leave it with the payload, not with the store's tables.
+TEST(AutomatonStoreTest, ProfileIsBuiltOncePerPayloadAcrossThreads) {
+  obs::ScopedEnable tracing(true);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const int64_t gauge = obs::MemBytes(obs::MemCategory::kStore);
+  {
+    AutomatonStore store;
+    DfaRef a = store.Intern(Regex("(0|1)*0110(0|1)*"));
+    const int64_t store_bytes = store.stats().bytes;
+    const int64_t built = metrics.Get(obs::kLazyProfilesBuilt);
+    std::vector<const AcceptProfile*> seen(4, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        DfaRef mine = store.Intern(Regex("(0|1)*0110(0|1)*"));
+        seen[t] = &mine.Profile();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(metrics.Get(obs::kLazyProfilesBuilt) - built, 1);
+    for (const AcceptProfile* p : seen) EXPECT_EQ(p, &a.Profile());
+    EXPECT_EQ(a.Profile().MinSteps(a->start()), 4);
+    EXPECT_EQ(a.Profile().MaxSteps(a->start()), AcceptProfile::kUnbounded);
+    EXPECT_EQ(store.stats().bytes, store_bytes);
+    EXPECT_EQ(obs::MemBytes(obs::MemCategory::kStore),
+              gauge + store_bytes + a.Profile().bytes());
+    store.Clear();
+    // `a` still holds the payload, so its profile is still retained.
+    EXPECT_EQ(obs::MemBytes(obs::MemCategory::kStore),
+              gauge + a.Profile().bytes());
+  }
+  EXPECT_EQ(obs::MemBytes(obs::MemCategory::kStore), gauge);
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "base/budget.h"
+#include "base/rng.h"
 #include "eval/automata_eval.h"
 #include "logic/parser.h"
 #include "obs/trace.h"
@@ -37,6 +39,19 @@ Database SmallDb() {
                               {"11"},
                               {"110"}})
                   .ok());
+  return db;
+}
+
+// 300 distinct binary strings of 16 to 24 letters: a relation trie of about
+// the size the serving benchmark's relations have.
+Database TrieDb() {
+  Database db(Alphabet::Binary());
+  Rng rng(3000);
+  std::vector<Tuple> tuples;
+  for (const std::string& s : rng.DistinctStrings("01", 16, 24, 300)) {
+    tuples.push_back({s});
+  }
+  EXPECT_TRUE(db.AddRelation("R", 1, std::move(tuples)).ok());
   return db;
 }
 
@@ -269,6 +284,50 @@ TEST(EvaluatorModesTest, SimilarityAtomThroughLazyModes) {
   Result<bool> self = eval.Contains(f, {"010"});
   ASSERT_TRUE(self.ok()) << self.status();
   EXPECT_TRUE(*self);
+}
+
+// Work ceilings in the style of DfaMinimizeWorkTest: counts, not timings.
+// The length-bounded walk enters only successors that can still accept in
+// the remaining steps: it creates 296 product states here, where the
+// breadth-first walk it replaced created 2,086.
+TEST(LazyWorkTest, TopKOnTrieAndLikeStaysUnderStateCeiling) {
+  Database db = TrieDb();
+  AutomataEvaluator eval(&db);
+  FormulaPtr f = Q("R(x) & like(x, '%0110%')");
+  Result<lazy::LazyProduct> lazy = eval.CompileLazy(f);
+  ASSERT_TRUE(lazy.ok()) << lazy.status();
+  Result<std::vector<std::vector<std::string>>> top = lazy->TopK(10, 64);
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ(top->size(), 10u);
+  EXPECT_LE(lazy->states_created(), 400);
+  Result<TrackAutomaton> rel = eval.Compile(f);
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  EXPECT_EQ(*top, rel->EnumerateTuples(64, 10));
+}
+
+// Profiles belong to the interned automata, not to the products: 100
+// products over the same leaves build each component's profile once.
+TEST(LazyWorkTest, ProfilesAreBuiltOncePerInternedAutomaton) {
+  obs::ScopedEnable tracing(true);
+  Database db = TrieDb();
+  // A private store: payloads interned by earlier tests already carry their
+  // profiles.
+  AutomatonStore store;
+  AutomataEvaluator eval(&db,
+                         std::make_shared<AtomCache>(db.alphabet(), &store));
+  FormulaPtr f = Q("R(x) & like(x, '%0110%')");
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const int64_t before = metrics.Get(obs::kLazyProfilesBuilt);
+  int64_t first = 0;
+  for (int i = 0; i < 100; ++i) {
+    Result<lazy::LazyProduct> lazy = eval.CompileLazy(f);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    ASSERT_TRUE(lazy->TopK(10, 64).ok());
+    if (i == 0) first = metrics.Get(obs::kLazyProfilesBuilt) - before;
+  }
+  // Valid(1), R's trie and the LIKE automaton.
+  EXPECT_EQ(first, 3);
+  EXPECT_EQ(metrics.Get(obs::kLazyProfilesBuilt) - before, first);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "eval/automata_eval.h"
 #include "logic/parser.h"
 #include "serve/server.h"
 
@@ -157,6 +159,72 @@ TEST(QueryModesTest, ModesSeeThePinnedSnapshot) {
   ASSERT_TRUE(witness.ok()) << witness.status();
   ASSERT_TRUE(witness->has_value());
   EXPECT_EQ(**witness, std::vector<std::string>{"1111"});
+}
+
+// A budget cap below k refuses exactly when an answer beyond the cap
+// exists, on both routes: a small recorded actual sends TopK to the
+// materialized answer, a large one to the lazy product.
+TEST(QueryModesTest, AnswerCapRefusesTopKOnBothRoutes) {
+  FormulaPtr f = Q("R(x)");
+  for (int64_t actual : {int64_t{1}, int64_t{1000000}}) {
+    SCOPED_TRACE("recorded actual " + std::to_string(actual));
+    serve::QueryServer server(ServeDb());
+    std::unique_ptr<serve::Session> session = server.OpenSession();
+    const std::shared_ptr<plan::Planner>& planner =
+        session->evaluator().planner();
+    planner->RecordActual(f, &session->snapshot().db(), actual);
+    ASSERT_EQ(planner->AdviseLazy(f, 0), actual > 64);
+
+    serve::SessionBudget capped;
+    capped.max_answer_tuples = 2;
+    session->set_budget(capped);
+    // R has seven tuples: a third answer exists beyond the cap.
+    Result<std::vector<std::vector<std::string>>> over = session->TopK(f, 4);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+    // k within the cap is served.
+    Result<std::vector<std::vector<std::string>>> within =
+        session->TopK(f, 2);
+    ASSERT_TRUE(within.ok()) << within.status();
+    EXPECT_EQ(*within, (std::vector<std::vector<std::string>>{{""}, {"0"}}));
+    // Exactly cap answers exist under the length bound: nothing is cut.
+    Result<std::vector<std::vector<std::string>>> all_short =
+        session->TopK(f, 4, 1);
+    ASSERT_TRUE(all_short.ok()) << all_short.status();
+    EXPECT_EQ(all_short->size(), 2u);
+    // The eager route's own compile recorded a small actual: still eager.
+    EXPECT_EQ(planner->AdviseLazy(f, 0), actual > 64);
+  }
+}
+
+// Sessions on different threads run lazy modes over the same interned
+// leaves, so they race to build those leaves' profiles: each is built once,
+// under its payload's once_flag, and every session gets the same answers.
+TEST(QueryModesTest, ConcurrentLazySessionsAgree) {
+  serve::QueryServer server(ServeDb());
+  FormulaPtr f = Q("R(x) & member(x, '0(0|1)*')");
+  {
+    // A large recorded actual routes every session's TopK lazily.
+    std::unique_ptr<serve::Session> first = server.OpenSession();
+    server.planner()->RecordActual(f, &first->snapshot().db(), 1000000);
+    ASSERT_TRUE(server.planner()->AdviseLazy(f, 0));
+  }
+  std::vector<std::vector<std::vector<std::string>>> tops(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::unique_ptr<serve::Session> session = server.OpenSession();
+      for (int i = 0; i < 20; ++i) {
+        Result<std::vector<std::vector<std::string>>> top =
+            session->TopK(f, 3);
+        if (top.ok()) tops[t] = *top;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::vector<std::vector<std::string>> expected = {
+      {"0"}, {"01"}, {"010"}};
+  for (const auto& top : tops) EXPECT_EQ(top, expected);
 }
 
 }  // namespace
