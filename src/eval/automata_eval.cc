@@ -638,17 +638,20 @@ int64_t LatencyNsSince(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 Result<TrackAutomaton> AutomataEvaluator::Compile(const FormulaPtr& f) {
-  auto compile_start = std::chrono::steady_clock::now();
   // A request that arrives with its deadline already spent fails before any
   // planning or compilation work (kernels poll the same deadline mid-flight).
   STRQ_RETURN_IF_ERROR(CheckDeadline());
+  return Compile(f, planner_->Plan(f, db_, cache_.get()));
+}
+
+Result<TrackAutomaton> AutomataEvaluator::Compile(
+    const FormulaPtr& f, const plan::PlannedQuery& planned) {
+  auto compile_start = std::chrono::steady_clock::now();
   // Track ids come from the ORIGINAL formula's free variables: the planner
   // may rewrite a variable out of the formula entirely, and the answer
   // relation's columns must not shift when it does.
   std::vector<std::string> order = FreeVarOrder(f);
-  FormulaPtr to_compile = f;
-  plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
-  to_compile = planned.formula;
+  const FormulaPtr& to_compile = planned.formula;
   // Semantic guard: free variables unconstrained by the formula would make
   // every track valid; that is handled naturally (FullRelation semantics)
   // because absent tracks are cylindrified on demand by callers. Here the
@@ -722,15 +725,19 @@ int BuildSkeleton(const FormulaPtr& f, lazy::Skeleton* sk,
 }  // namespace
 
 Result<lazy::LazyProduct> AutomataEvaluator::CompileLazy(const FormulaPtr& f) {
-  auto compile_start = std::chrono::steady_clock::now();
   STRQ_RETURN_IF_ERROR(CheckDeadline());
-  std::vector<std::string> order = FreeVarOrder(f);
-  if (order.empty()) {
+  if (FreeVarOrder(f).empty()) {
     return InvalidArgumentError(
         "lazy compilation needs at least one free variable; evaluate "
         "sentences directly");
   }
-  plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
+  return CompileLazy(f, planner_->Plan(f, db_, cache_.get()));
+}
+
+Result<lazy::LazyProduct> AutomataEvaluator::CompileLazy(
+    const FormulaPtr& f, const plan::PlannedQuery& planned) {
+  auto compile_start = std::chrono::steady_clock::now();
+  std::vector<std::string> order = FreeVarOrder(f);
   lazy::Skeleton sk;
   std::vector<FormulaPtr> leaf_formulas;
   sk.root = BuildSkeleton(planned.formula, &sk, &leaf_formulas);
@@ -769,12 +776,13 @@ Result<bool> AutomataEvaluator::Contains(const FormulaPtr& f,
     return InvalidArgumentError("tuple arity does not match free variables");
   }
   if (order.empty()) return EvaluateSentence(f);
+  STRQ_RETURN_IF_ERROR(CheckDeadline());
   plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
   if (!planner_->AdviseLazy(f, planned.estimated_states)) {
-    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f));
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f, planned));
     return rel.Contains(tuple);
   }
-  STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f));
+  STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f, planned));
   return product.Contains(tuple);
 }
 
@@ -789,9 +797,10 @@ AutomataEvaluator::ExistsWitness(const FormulaPtr& f) {
     }
     return std::optional<std::vector<std::string>>();
   }
+  STRQ_RETURN_IF_ERROR(CheckDeadline());
   plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
   if (!planner_->AdviseLazy(f, planned.estimated_states)) {
-    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f));
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f, planned));
     // Shortlex enumeration's first tuple is a shortest witness; a nonempty
     // language accepts some word of length < NumStates().
     std::vector<std::vector<std::string>> tuples =
@@ -799,7 +808,7 @@ AutomataEvaluator::ExistsWitness(const FormulaPtr& f) {
     if (tuples.empty()) return std::optional<std::vector<std::string>>();
     return std::optional<std::vector<std::string>>(std::move(tuples[0]));
   }
-  STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f));
+  STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f, planned));
   return product.ShortestWitness();
 }
 
@@ -812,9 +821,10 @@ Result<std::vector<std::vector<std::string>>> AutomataEvaluator::TopK(
     if (truth && k > 0) out.push_back({});
     return out;
   }
+  STRQ_RETURN_IF_ERROR(CheckDeadline());
   plan::PlannedQuery planned = planner_->Plan(f, db_, cache_.get());
   if (!planner_->AdviseLazy(f, planned.estimated_states)) {
-    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f));
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel, Compile(f, planned));
     // Under a budget cap below k, one tuple past the cap decides whether the
     // cap truncated the answer: refuse exactly then, as the lazy route does.
     const size_t cap = CurrentMaxAnswerTuples(k);
@@ -826,7 +836,7 @@ Result<std::vector<std::vector<std::string>>> AutomataEvaluator::TopK(
     }
     return tuples;
   }
-  STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f));
+  STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f, planned));
   return product.TopK(k, max_len);
 }
 

@@ -165,6 +165,14 @@ class AutomataEvaluator {
                               PatternSyntax syntax);
 
  private:
+  // Compile and CompileLazy over a plan the caller already holds: the
+  // early-exit modes plan once, ask AdviseLazy, then take either route.
+  // The public overloads check the deadline and plan first.
+  Result<TrackAutomaton> Compile(const FormulaPtr& f,
+                                 const plan::PlannedQuery& planned);
+  Result<lazy::LazyProduct> CompileLazy(const FormulaPtr& f,
+                                        const plan::PlannedQuery& planned);
+
   const Database* db_;
   std::shared_ptr<AtomCache> cache_;
   std::shared_ptr<plan::Planner> planner_;

@@ -43,11 +43,7 @@ void NetInsert(const std::string& s, std::set<std::string>* primary,
 IncrementalIndex::IncrementalIndex(const VersionedDatabase* db,
                                    std::shared_ptr<AtomCache> cache,
                                    Options options)
-    : db_(db), cache_(std::move(cache)), options_(options) {
-  DbSnapshot snap = db_->Snapshot();
-  std::lock_guard<std::mutex> lock(mu_);
-  SeedDomLocked(snap.db());
-}
+    : db_(db), cache_(std::move(cache)), options_(options) {}
 
 // ---------------------------------------------------------------------------
 // Commit subscription
@@ -55,20 +51,33 @@ IncrementalIndex::IncrementalIndex(const VersionedDatabase* db,
 
 void IncrementalIndex::OnCommit(const CommitDelta& delta) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (delta.opaque || !dom_valid_ || delta.from_revision != dom_rev_) {
-    // Unreplayable edge (whole-relation commit, missed commits, first
-    // sight): rescan the head. The hook runs with the writer lock held, so
-    // the head IS delta.to_revision.
-    DbSnapshot snap = db_->Snapshot();
-    SeedDomLocked(snap.db());
+  // No live domain, or an on-demand seed already read this commit's head.
+  if (!dom_valid_ || dom_rev_ == delta.to_revision) return;
+  if (delta.opaque || delta.from_revision != dom_rev_) {
+    // Unreplayable edge (whole-relation commit, missed commits): drop the
+    // domain; the next consumer at the head reseeds it.
+    dom_valid_ = false;
+    dom_log_.clear();
     return;
   }
   ApplyDomOpsLocked(delta);
 }
 
-void IncrementalIndex::SeedDomLocked(const Database& db) {
+bool IncrementalIndex::DomAtLocked(int64_t revision) const {
+  if (!dom_valid_) {
+    // Lock order: mu_, then only the snapshot's own mutexes (never the
+    // writer lock the commit hook runs under).
+    DbSnapshot head = db_->Snapshot();
+    if (head.revision() != revision) return false;
+    SeedDomLocked(head.db());
+  }
+  return dom_rev_ == revision;
+}
+
+void IncrementalIndex::SeedDomLocked(const Database& db) const {
+  obs::Span span("incr.dom_seed");
+  obs::Count(obs::kIncrDomSeeds);
   counts_.clear();
-  prefix_counts_.clear();
   dom_log_.clear();
   for (const auto& [name, rel] : db.relations()) {
     (void)name;
@@ -76,27 +85,7 @@ void IncrementalIndex::SeedDomLocked(const Database& db) {
       for (const std::string& s : t) ++counts_[s];
     }
   }
-  // One sorted pass over counts_: a key's prefixes longer than its lcp with
-  // the previous key sort after every prefix seen so far, so they append at
-  // the end of prefix_counts_; the shared ones are bumped through `path`,
-  // the entries of the previous key's prefixes by length.
-  std::vector<std::map<std::string, int64_t>::iterator> path;
-  const std::string* prev = nullptr;
-  for (const auto& [s, n] : counts_) {
-    (void)n;
-    size_t shared = 0;  // prefixes of lengths 0..lcp(prev, s)
-    if (prev != nullptr) {
-      auto diff = std::mismatch(prev->begin(), prev->end(), s.begin(), s.end());
-      shared = static_cast<size_t>(diff.first - prev->begin()) + 1;
-    }
-    path.resize(shared);
-    for (auto& it : path) ++it->second;
-    for (size_t i = shared; i <= s.size(); ++i) {
-      path.push_back(
-          prefix_counts_.emplace_hint(prefix_counts_.end(), s.substr(0, i), 1));
-    }
-    prev = &s;
-  }
+  span.Attr("strings", static_cast<int64_t>(counts_.size()));
   dom_rev_ = db.revision();
   dom_valid_ = true;
 }
@@ -109,25 +98,13 @@ void IncrementalIndex::ApplyDomOpsLocked(const CommitDelta& delta) {
   for (const TupleDelta& op : delta.ops) {
     for (const std::string& s : op.tuple) {
       if (op.insert) {
-        if (counts_[s]++ == 0) {
-          NetInsert(s, &added, &removed);
-          for (size_t i = 0; i <= s.size(); ++i) {
-            ++prefix_counts_[s.substr(0, i)];
-          }
-        }
+        if (counts_[s]++ == 0) NetInsert(s, &added, &removed);
       } else {
         auto it = counts_.find(s);
         if (it == counts_.end()) continue;  // defensive; ops are effective
         if (--it->second == 0) {
           counts_.erase(it);
           NetInsert(s, &removed, &added);
-          for (size_t i = 0; i <= s.size(); ++i) {
-            std::string p = s.substr(0, i);
-            auto pit = prefix_counts_.find(p);
-            if (pit != prefix_counts_.end() && --pit->second == 0) {
-              prefix_counts_.erase(pit);
-            }
-          }
         }
       }
     }
@@ -137,6 +114,35 @@ void IncrementalIndex::ApplyDomOpsLocked(const CommitDelta& delta) {
   dom_log_.push_back(std::move(d));
   while (dom_log_.size() > kMaxDomLog) dom_log_.pop_front();
   dom_rev_ = delta.to_revision;
+}
+
+std::vector<std::string> IncrementalIndex::DomKeysLocked() const {
+  std::vector<std::string> keys;
+  keys.reserve(counts_.size());
+  for (const auto& [s, n] : counts_) {
+    (void)n;
+    keys.push_back(s);  // map order: already sorted and deduplicated
+  }
+  return keys;
+}
+
+std::vector<std::string> IncrementalIndex::DomClosureLocked() const {
+  // One pass over the sorted keys, no sort: a key's prefixes up to its lcp
+  // with the previous key were emitted with that key, and the longer ones
+  // sort after every string emitted so far, so they append in order.
+  std::vector<std::string> closure;
+  const std::string* prev = nullptr;
+  for (const auto& [s, n] : counts_) {
+    (void)n;
+    size_t next = 0;  // shortest prefix length not yet emitted
+    if (prev != nullptr) {
+      auto diff = std::mismatch(prev->begin(), prev->end(), s.begin(), s.end());
+      next = static_cast<size_t>(diff.first - prev->begin()) + 1;
+    }
+    for (size_t i = next; i <= s.size(); ++i) closure.push_back(s.substr(0, i));
+    prev = &s;
+  }
+  return closure;
 }
 
 std::optional<std::pair<std::vector<std::string>, std::vector<std::string>>>
@@ -282,9 +288,16 @@ Result<TrackAutomaton> IncrementalIndex::BuildRelationTrie(
     return InvalidArgumentError("unknown relation: " + name);
   }
   const int64_t rev = db.revision();
+  const int64_t stamp = db.RelationRevision(name);
   std::lock_guard<std::mutex> lock(mu_);
   BaseState& st = rels_[name];
-  if (st.base.has_value() && st.rev == rev) return *st.base;
+  if (st.base.has_value() && st.stamp == stamp) {
+    // The relation is unchanged since the anchor, whatever else committed
+    // (opaque commits included): the base IS its trie at this revision.
+    if (st.rev != rev) CountUnchanged();
+    st.rev = std::max(st.rev, rev);
+    return *st.base;
+  }
   if (st.base.has_value() && rev > st.rev) {
     std::optional<std::vector<TupleDelta>> chain =
         db_->DeltasBetween(st.rev, rev);
@@ -298,9 +311,10 @@ Result<TrackAutomaton> IncrementalIndex::BuildRelationTrie(
       const std::vector<Tuple>& dels = dit != net.dels.end() ? dit->second
                                                              : kNone;
       if (adds.empty() && dels.empty()) {
-        // Other relations changed; this one's contents are identical, so
-        // the base automaton IS the trie at the new revision.
+        // The window's writes to this relation cancelled out: same
+        // contents, so the base automaton IS the trie at the new revision.
         st.rev = rev;
+        st.stamp = stamp;
         CountUnchanged();
         return *st.base;
       }
@@ -313,7 +327,9 @@ Result<TrackAutomaton> IncrementalIndex::BuildRelationTrie(
             ApplyPatch(*st.base, adds, dels, &delta_states);
         if (patched.ok()) {
           CountPatch(ElapsedNs(start));
-          MaybeCompact(&st, *patched, rev, window_ops, delta_states);
+          if (MaybeCompact(&st, *patched, rev, window_ops, delta_states)) {
+            st.stamp = stamp;
+          }
           return patched;
         }
         // A failed patch falls through to the rebuild below.
@@ -328,6 +344,7 @@ Result<TrackAutomaton> IncrementalIndex::BuildRelationTrie(
   if (built.ok() && (!st.base.has_value() || rev >= st.rev)) {
     st.base = *built;
     st.rev = rev;
+    st.stamp = stamp;
   }
   return built;
 }
@@ -368,16 +385,8 @@ Result<TrackAutomaton> IncrementalIndex::BuildDomTrie(const Database& db) {
     }
   }
   CountRecompile();
-  std::vector<std::string> dom;
-  if (dom_valid_ && dom_rev_ == rev) {
-    dom.reserve(counts_.size());
-    for (const auto& [s, n] : counts_) {
-      (void)n;
-      dom.push_back(s);
-    }
-  } else {
-    dom = db.ActiveDomain();
-  }
+  std::vector<std::string> dom =
+      DomAtLocked(rev) ? DomKeysLocked() : db.ActiveDomain();
   Result<TrackAutomaton> built = FromTuplesVars({0}, UnaryTuples(dom));
   if (built.ok() && (!st.base.has_value() || rev >= st.rev)) {
     st.base = *built;
@@ -393,69 +402,41 @@ Result<TrackAutomaton> IncrementalIndex::BuildDomTrie(const Database& db) {
 std::optional<std::vector<std::string>> IncrementalIndex::ActiveDomainAt(
     int64_t revision) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!dom_valid_ || dom_rev_ != revision) return std::nullopt;
-  std::vector<std::string> out;
-  out.reserve(counts_.size());
-  for (const auto& [s, n] : counts_) {
-    (void)n;
-    out.push_back(s);  // map order: already sorted and deduplicated
-  }
-  return out;
+  if (!DomAtLocked(revision)) return std::nullopt;
+  return DomKeysLocked();
 }
 
 std::optional<std::vector<std::string>> IncrementalIndex::PrefixClosureAt(
     int64_t revision) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!dom_valid_ || dom_rev_ != revision) return std::nullopt;
-  std::vector<std::string> out;
-  out.reserve(prefix_counts_.size());
-  for (const auto& [s, n] : prefix_counts_) {
-    (void)n;
-    out.push_back(s);
-  }
-  return out;
+  if (!DomAtLocked(revision)) return std::nullopt;
+  return DomClosureLocked();
 }
 
 std::shared_ptr<const DomainTrie> IncrementalIndex::AdomTrieAt(
     int64_t revision) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!dom_valid_ || dom_rev_ != revision) return nullptr;
-  if (adom_trie_rev_ == revision && adom_trie_view_ != nullptr) {
-    return adom_trie_view_;
-  }
-  std::vector<std::string> keys;
-  keys.reserve(counts_.size());
-  for (const auto& [s, n] : counts_) {
-    (void)n;
-    keys.push_back(s);
-  }
-  Result<std::shared_ptr<const DomainTrie>> built =
-      DomainTrie::Build(cache_->alphabet(), keys);
-  if (!built.ok()) return nullptr;
-  adom_trie_view_ = *std::move(built);
-  adom_trie_rev_ = revision;
-  return adom_trie_view_;
+  return DomTrieView(revision, /*closure=*/false);
 }
 
 std::shared_ptr<const DomainTrie> IncrementalIndex::PrefixTrieAt(
     int64_t revision) const {
+  return DomTrieView(revision, /*closure=*/true);
+}
+
+std::shared_ptr<const DomainTrie> IncrementalIndex::DomTrieView(
+    int64_t revision, bool closure) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!dom_valid_ || dom_rev_ != revision) return nullptr;
-  if (prefix_trie_rev_ == revision && prefix_trie_view_ != nullptr) {
-    return prefix_trie_view_;
-  }
-  std::vector<std::string> keys;
-  keys.reserve(prefix_counts_.size());
-  for (const auto& [s, n] : prefix_counts_) {
-    (void)n;
-    keys.push_back(s);
-  }
-  Result<std::shared_ptr<const DomainTrie>> built =
-      DomainTrie::Build(cache_->alphabet(), keys);
+  if (!DomAtLocked(revision)) return nullptr;
+  std::shared_ptr<const DomainTrie>& view =
+      closure ? prefix_trie_view_ : adom_trie_view_;
+  int64_t& view_rev = closure ? prefix_trie_rev_ : adom_trie_rev_;
+  if (view_rev == revision && view != nullptr) return view;
+  Result<std::shared_ptr<const DomainTrie>> built = DomainTrie::Build(
+      cache_->alphabet(), closure ? DomClosureLocked() : DomKeysLocked());
   if (!built.ok()) return nullptr;
-  prefix_trie_view_ = *std::move(built);
-  prefix_trie_rev_ = revision;
-  return prefix_trie_view_;
+  view = *std::move(built);
+  view_rev = revision;
+  return view;
 }
 
 // ---------------------------------------------------------------------------

@@ -55,17 +55,20 @@ struct Stats {
 // and serves three layers of incrementally-maintained state, all anchored
 // on the MVCC revision chain:
 //
-//  * Table tries (TrieProvider): a relation's trie at revision r is served
-//    as base-trie @ r₀ patched with the replayed tuple deltas (r₀..r] —
-//    Difference for retractions, Union for insertions — instead of a
-//    FromTuples rebuild. Patched tries are installed in the shared
-//    AtomCache under the same "rel:<name>:<rev>" keys the compilers look
-//    up, so eviction and cross-session sharing work unchanged.
+//  * Table tries (TrieProvider): a relation's trie at revision r is its
+//    base trie @ r₀ as-is if its content revision (RelationRevision) did
+//    not move, opaque commits to other relations included; otherwise the
+//    base patched with the replayed tuple deltas (r₀..r] — Difference for
+//    retractions, Union for insertions — instead of a FromTuples rebuild.
+//    Served tries are installed in the shared AtomCache under the same
+//    "rel:<name>:<rev>" keys the compilers look up, so eviction and
+//    cross-session sharing work unchanged.
 //  * Active domain and its prefix closure (TrieProvider for Engine A's
 //    adom automaton, whose PrefixClosure serves `pre adom`; DomainProvider
-//    for Engine B's candidate sets): multiplicity-refcounted under
-//    inserts/deletes, so a commit updates them in O(delta) instead of
-//    rescanning every relation.
+//    for Engine B's candidate sets): multiplicity counts seeded from the
+//    head snapshot on first demand, kept in O(delta) by tuple commits while
+//    a consumer has asked, and dropped in O(1) by any other commit, so a
+//    commit never rescans the database.
 //  * Answer automata (CompileAnswer): a per-revision memo of each
 //    formula's answer. A read at the memo's revision hits; a delta window
 //    whose net effect is empty reuses the stored answer; anything else
@@ -88,9 +91,10 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
                    std::shared_ptr<AtomCache> cache,
                    Options options = Options());
 
-  // Commit subscription (VersionedDatabase::SetCommitHook target): keeps
-  // the domain refcounts synced. Tuple commits apply in O(delta); opaque
-  // commits (AddRelation / arbitrary Update) trigger a head rescan.
+  // Commit subscription (VersionedDatabase::SetCommitHook target): keeps a
+  // live domain synced. Tuple commits apply in O(delta); opaque commits
+  // (AddRelation / arbitrary Update) and unreplayable edges drop it, and the
+  // next consumer at the head reseeds it. Nothing here scans the database.
   void OnCommit(const CommitDelta& delta);
 
   // --- TrieProvider (Engine A) -------------------------------------------
@@ -100,6 +104,8 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   Result<TrackAutomaton> AdomTrie(const Database& db, VarId var) override;
 
   // --- DomainProvider (Engine B) -----------------------------------------
+  // Each accessor answers only for the head revision, seeding the domain
+  // from the head snapshot if no commit has kept it live.
   std::optional<std::vector<std::string>> ActiveDomainAt(
       int64_t revision) const override;
   std::optional<std::vector<std::string>> PrefixClosureAt(
@@ -125,9 +131,11 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
 
  private:
   // A maintained base automaton anchored at one revision; patches replay
-  // the delta window (rev, target] on top of it.
+  // the delta window (rev, target] on top of it. `stamp` is the relation's
+  // content revision at the anchor (unused for the adom base).
   struct BaseState {
     int64_t rev = -1;
+    int64_t stamp = -1;
     std::optional<TrackAutomaton> base;
   };
 
@@ -176,9 +184,17 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   Result<TrackAutomaton> FromTuplesVars(const std::vector<VarId>& vars,
                                         const std::vector<Tuple>& tuples);
 
-  // Domain refcount bookkeeping (mu_ held).
-  void SeedDomLocked(const Database& db);
+  // Domain bookkeeping (mu_ held). DomAtLocked: does counts_ describe
+  // `revision`? Seeds it from the head snapshot first when no domain is
+  // live and `revision` is the head.
+  bool DomAtLocked(int64_t revision) const;
+  void SeedDomLocked(const Database& db) const;
   void ApplyDomOpsLocked(const CommitDelta& delta);
+  std::vector<std::string> DomKeysLocked() const;
+  std::vector<std::string> DomClosureLocked() const;
+  // The memoized head-revision trie of the domain or of its closure.
+  std::shared_ptr<const DomainTrie> DomTrieView(int64_t revision,
+                                                bool closure) const;
   // Net adom change along (from, to], or nullopt if the dom log cannot
   // replay that window.
   std::optional<std::pair<std::vector<std::string>, std::vector<std::string>>>
@@ -195,19 +211,17 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   mutable std::mutex mu_;  // tries + domain state
   std::map<std::string, BaseState> rels_;
   BaseState adom_base_;
-  // Domain refcounts, synced to head revision dom_rev_ while dom_valid_:
-  // counts_[s] = occurrences of s across all tuples; prefix_counts_[p] =
-  // distinct adom strings with prefix p (so keys(prefix_counts_) IS the
-  // closure, ε included iff adom non-empty).
-  bool dom_valid_ = false;
-  int64_t dom_rev_ = -1;
-  std::map<std::string, int64_t> counts_;
-  std::map<std::string, int64_t> prefix_counts_;
+  // The domain, live at revision dom_rev_ while dom_valid_: counts_[s] =
+  // occurrences of s across all tuples, so its keys are adom(D). Mutable:
+  // the const DomainProvider accessors seed it on demand.
+  mutable bool dom_valid_ = false;
+  mutable int64_t dom_rev_ = -1;
+  mutable std::map<std::string, int64_t> counts_;
   static constexpr size_t kMaxDomLog = 128;
-  std::deque<DomDelta> dom_log_;
-  // Memoized head-revision trie views of counts_/prefix_counts_ (mu_ held;
-  // stale revisions are dropped, the tries themselves stay alive through
-  // the shared_ptrs pinned sessions already hold).
+  mutable std::deque<DomDelta> dom_log_;
+  // Memoized head-revision trie views of the domain and its closure (mu_
+  // held; stale revisions are dropped, the tries themselves stay alive
+  // through the shared_ptrs pinned sessions already hold).
   mutable std::shared_ptr<const DomainTrie> adom_trie_view_;
   mutable int64_t adom_trie_rev_ = -1;
   mutable std::shared_ptr<const DomainTrie> prefix_trie_view_;

@@ -181,6 +181,9 @@ inline constexpr char kIncrPatches[] = "incr.patches";
 inline constexpr char kIncrRecompiles[] = "incr.recompiles";
 inline constexpr char kIncrCompactions[] = "incr.compactions";
 inline constexpr char kIncrUnchangedHits[] = "incr.unchanged_hits";
+// Active-domain seeds: the index builds its domain counts from the head
+// snapshot only when a domain consumer asks and no commit kept it live.
+inline constexpr char kIncrDomSeeds[] = "incr.dom_seeds";
 // Answer-level patches. Answers are recompiled over patched tries, never
 // patched, so nothing increments this; it stays because perfbench reports
 // it (always 0).

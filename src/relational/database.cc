@@ -74,7 +74,7 @@ Status Database::AddRelation(const std::string& name, Relation relation) {
     }
   }
   relations_.insert_or_assign(name, std::move(relation));
-  revision_ = NextRevision();
+  revision_ = relation_revisions_[name] = NextRevision();
   return Status::Ok();
 }
 
@@ -99,7 +99,7 @@ Result<bool> Database::InsertTuple(const std::string& name, const Tuple& t) {
     }
   }
   STRQ_ASSIGN_OR_RETURN(bool changed, it->second.Insert(t));
-  if (changed) revision_ = NextRevision();
+  if (changed) revision_ = relation_revisions_[name] = NextRevision();
   return changed;
 }
 
@@ -109,13 +109,18 @@ Result<bool> Database::DeleteTuple(const std::string& name, const Tuple& t) {
     return InvalidArgumentError("unknown relation " + name);
   }
   STRQ_ASSIGN_OR_RETURN(bool changed, it->second.Remove(t));
-  if (changed) revision_ = NextRevision();
+  if (changed) revision_ = relation_revisions_[name] = NextRevision();
   return changed;
 }
 
 const Relation* Database::Find(const std::string& name) const {
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
+}
+
+int64_t Database::RelationRevision(const std::string& name) const {
+  auto it = relation_revisions_.find(name);
+  return it == relation_revisions_.end() ? -1 : it->second;
 }
 
 std::vector<std::string> Database::ActiveDomain() const {

@@ -73,6 +73,13 @@ class Database {
   // nullptr if absent.
   const Relation* Find(const std::string& name) const;
 
+  // Content revision of one relation: the database revision at which it was
+  // last added, replaced or changed by a tuple write; -1 if absent. Stamps
+  // come from the same process-unique counter as revision(), copies share
+  // them, and no-op writes leave them, so an unchanged stamp means unchanged
+  // contents: automata built for a relation survive commits to the others.
+  int64_t RelationRevision(const std::string& name) const;
+
   const std::map<std::string, Relation>& relations() const {
     return relations_;
   }
@@ -84,7 +91,7 @@ class Database {
   size_t MaxAdomLength() const;
 
   // Content revision: 0 for an empty database, otherwise a process-unique
-  // value bumped on every AddRelation. Caches key compiled table/adom
+  // value bumped on every AddRelation and every effective tuple write. Caches key compiled table/adom
   // automata on "<name>:<revision>" so entries for stale contents are
   // simply never looked up again (revisions are never reused, so keys
   // cannot alias — copies of a database share the revision of the content
@@ -94,6 +101,7 @@ class Database {
  private:
   Alphabet alphabet_;
   std::map<std::string, Relation> relations_;
+  std::map<std::string, int64_t> relation_revisions_;
   int64_t revision_ = 0;
 };
 

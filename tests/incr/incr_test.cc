@@ -15,6 +15,7 @@
 #include "eval/automata_eval.h"
 #include "eval/restricted_eval.h"
 #include "logic/parser.h"
+#include "obs/trace.h"
 #include "plan/planner.h"
 #include "serve/server.h"
 #include "gtest/gtest.h"
@@ -110,6 +111,44 @@ TEST(IncrTrieTest, OpaqueCommitFallsBackToRecompile) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);
   EXPECT_GT(server.incremental()->stats().recompiles, 0);
+}
+
+int CountSpans(const obs::TraceNode& node, const std::string& name) {
+  int n = node.name == name ? 1 : 0;
+  for (const auto& child : node.children) n += CountSpans(*child, name);
+  return n;
+}
+
+// An opaque reload of R must not rebuild Q: Q's content revision is the
+// one its base was built at, so the base serves the new revision as-is,
+// with the id a fresh build of Q's tuples interns.
+TEST(IncrTrieTest, ReloadOfOneRelationReusesTheOthersTrie) {
+  Database db = Fixture();
+  ASSERT_TRUE(db.AddRelation("Q", 1, {{"1"}, {"0110"}, {"111"}}).ok());
+  serve::QueryServer server(std::move(db));
+  std::unique_ptr<serve::Session> session = server.OpenSession();
+  FormulaPtr f = Q("R(x) | Q(x)");
+  ASSERT_TRUE(session->Compile(f).ok());
+  ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, {{"00"}, {"10"}}).ok());
+  session->Refresh();
+  const int64_t unchanged_before = server.incremental()->stats().unchanged_hits;
+  {
+    obs::ScopedEnable tracing(true);
+    obs::TraceSession trace;
+    ASSERT_TRUE(session->Compile(f).ok());
+    EXPECT_EQ(CountSpans(trace.root(), "mta.from_tuples"), 1);  // R only
+  }
+  EXPECT_EQ(server.incremental()->stats().unchanged_hits, unchanged_before + 1);
+  DbSnapshot head = server.versioned_db().Snapshot();
+  Result<TrackAutomaton> reused =
+      server.incremental()->RelationTrie(head.db(), "Q", {0});
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  Result<TrackAutomaton> fresh = TrackAutomaton::FromTuples(
+      server.atom_cache()->store(), server.alphabet(), {0},
+      head.db().Find("Q")->tuples());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(reused->dfa_ref().id(), fresh->dfa_ref().id());
+  ExpectMatchesFreshRecompile(*session, server, f);
 }
 
 TEST(IncrTrieTest, WideDeltaRecompilesInsteadOfPatching) {
@@ -229,14 +268,15 @@ TEST(IncrDomainTest, RefcountedDomainsMatchRecomputation) {
   EXPECT_FALSE(index->ActiveDomainAt(head.revision() + 17).has_value());
 }
 
-// The prefix counts an opaque commit seeds must be exact: deleting the
+// The closure derived from the seeded counts must be exact: deleting the
 // domain tuple by tuple, a prefix may leave the closure only with the last
 // string that has it, so every step's closure equals the naive
-// recomputation only if every seeded count was right. The domain holds the
-// empty string, keys that are whole prefixes of the next key ("0" < "01" <
-// "011"), and keys sharing prefixes with non-adjacent keys ("0010" and "01"
-// share "0" across "0011"); S repeats strings of R2, so multiplicities
-// exceed one.
+// recomputation only if the seeded multiplicities were right and the
+// one-pass derivation emits each prefix exactly once, in order. The domain
+// holds the empty string, keys that are whole prefixes of the next key ("0"
+// < "01" < "011"), and keys sharing prefixes with non-adjacent keys ("0010"
+// and "01" share "0" across "0011"); S repeats strings of R2, so
+// multiplicities exceed one.
 TEST(IncrDomainTest, SortedSeedMatchesNaivePrefixCounts) {
   serve::QueryServer server(Fixture());
   std::vector<Tuple> r = {{""},    {"0"},   {"0010"}, {"0011"}, {"01"},
@@ -265,6 +305,46 @@ TEST(IncrDomainTest, SortedSeedMatchesNaivePrefixCounts) {
     ASSERT_EQ(*closure, PrefixClosure(head.db().ActiveDomain()))
         << "step " << step;
   }
+}
+
+// Commits never scan the database: with no domain consumer, opaque reloads
+// seed nothing. The first consumer at the head seeds once, and tuple
+// commits after it keep the domain live in O(delta), so no further read
+// seeds again.
+TEST(IncrDomainTest, DomainIsSeededOnlyOnDemand) {
+  obs::ScopedEnable tracing(true);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const int64_t before = metrics.Get(obs::kIncrDomSeeds);
+  serve::QueryServer server(Fixture());
+  for (int i = 0; i < 20; ++i) {
+    std::string ones(static_cast<size_t>(i) + 1, '1');
+    std::vector<Tuple> tuples = {{"0"}, {ones}};
+    ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, tuples).ok());
+  }
+  EXPECT_EQ(metrics.Get(obs::kIncrDomSeeds) - before, 0);
+
+  const std::shared_ptr<IncrementalIndex>& index = server.incremental();
+  DbSnapshot head = server.versioned_db().Snapshot();
+  std::optional<std::vector<std::string>> adom =
+      index->ActiveDomainAt(head.revision());
+  ASSERT_TRUE(adom.has_value());
+  EXPECT_EQ(*adom, head.db().ActiveDomain());
+  EXPECT_EQ(metrics.Get(obs::kIncrDomSeeds) - before, 1);
+
+  const std::vector<std::vector<TupleDelta>> commits = {
+      {TupleDelta{"R", {"0110"}, true}},
+      {TupleDelta{"R", {"0"}, false}, TupleDelta{"R", {"01"}, true}},
+      {TupleDelta{"R", {"0110"}, false}},
+  };
+  for (const std::vector<TupleDelta>& commit : commits) {
+    ASSERT_TRUE(server.CommitDeltas(commit).ok());
+    head = server.versioned_db().Snapshot();
+    std::optional<std::vector<std::string>> closure =
+        index->PrefixClosureAt(head.revision());
+    ASSERT_TRUE(closure.has_value());
+    EXPECT_EQ(*closure, PrefixClosure(head.db().ActiveDomain()));
+  }
+  EXPECT_EQ(metrics.Get(obs::kIncrDomSeeds) - before, 1);
 }
 
 TEST(IncrDomainTest, EngineBProviderAgreesWithDefaultRecomputation) {

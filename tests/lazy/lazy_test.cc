@@ -18,6 +18,7 @@
 #include "eval/automata_eval.h"
 #include "logic/parser.h"
 #include "obs/trace.h"
+#include "plan/planner.h"
 
 namespace strq {
 namespace {
@@ -328,6 +329,43 @@ TEST(LazyWorkTest, ProfilesAreBuiltOncePerInternedAutomaton) {
   // Valid(1), R's trie and the LIKE automaton.
   EXPECT_EQ(first, 3);
   EXPECT_EQ(metrics.Get(obs::kLazyProfilesBuilt) - before, first);
+}
+
+// An early-exit request plans once: AdviseLazy and the route it picks read
+// the same PlannedQuery. Ten warm TopK(10) calls are ten plan-cache hits on
+// either route, and both routes give the same answers in the same order.
+TEST(LazyWorkTest, EarlyModesPlanOncePerRequest) {
+  obs::ScopedEnable tracing(true);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  Database db = TrieDb();
+  FormulaPtr f = Q("R(x) & like(x, '%0110%')");
+  std::vector<std::vector<std::string>> answers[2];
+  for (int route = 0; route < 2; ++route) {  // 0: lazy, 1: eager
+    auto planner = std::make_shared<plan::Planner>();
+    AutomataEvaluator eval(&db, std::make_shared<AtomCache>(db.alphabet()),
+                           planner);
+    // The recorded actual decides AdviseLazy (over 64 states goes lazy); an
+    // eager compile records its own, so set it before every request.
+    auto advise = [&] {
+      planner->RecordActual(f, &db, route == 0 ? 10000 : 10);
+    };
+    advise();
+    ASSERT_TRUE(eval.TopK(f, 10).ok());  // plans and caches the plan
+    const int64_t hits_before = planner->stats().cache_hits;
+    const int64_t lazy_before = metrics.Get(obs::kLazyStatesCreated);
+    for (int i = 0; i < 10; ++i) {
+      advise();
+      Result<std::vector<std::vector<std::string>>> top = eval.TopK(f, 10);
+      ASSERT_TRUE(top.ok()) << top.status();
+      answers[route] = *std::move(top);
+    }
+    EXPECT_EQ(planner->stats().cache_hits - hits_before, 10)
+        << "route " << route;
+    // The route really is the one asked for.
+    EXPECT_EQ(metrics.Get(obs::kLazyStatesCreated) > lazy_before, route == 0);
+  }
+  EXPECT_EQ(answers[0].size(), 10u);
+  EXPECT_EQ(answers[0], answers[1]);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/snapshot.h"
+
 namespace strq {
 namespace {
 
@@ -65,6 +67,54 @@ TEST(DatabaseTest, ActiveDomainAcrossRelations) {
   // The longest value sits in a later column of a later relation.
   ASSERT_TRUE(db.AddRelation("T", 2, {{"b", "abcab"}}).ok());
   EXPECT_EQ(db.MaxAdomLength(), 5u);
+}
+
+// A relation's content revision moves exactly when its contents are
+// written: copies share it, no-op writes and writes to other relations
+// leave it, and every real change stamps a fresh value.
+TEST(DatabaseTest, RelationRevisionMovesOnlyWithItsContents) {
+  Database db(Alphabet::Abc());
+  EXPECT_EQ(db.RelationRevision("R"), -1);
+  ASSERT_TRUE(db.AddRelation("R", 1, {{"a"}, {"ab"}}).ok());
+  ASSERT_TRUE(db.AddRelation("S", 1, {{"c"}}).ok());
+  const int64_t r0 = db.RelationRevision("R");
+  EXPECT_GT(r0, 0);
+  EXPECT_NE(db.RelationRevision("S"), r0);
+  EXPECT_EQ(db.RelationRevision("S"), db.revision());
+
+  Database copy = db;
+  EXPECT_EQ(copy.RelationRevision("R"), r0);
+  Result<bool> noop_insert = copy.InsertTuple("R", {"a"});
+  ASSERT_TRUE(noop_insert.ok());
+  EXPECT_FALSE(*noop_insert);
+  Result<bool> noop_delete = copy.DeleteTuple("R", {"b"});
+  ASSERT_TRUE(noop_delete.ok());
+  EXPECT_FALSE(*noop_delete);
+  EXPECT_EQ(copy.RelationRevision("R"), r0);
+
+  ASSERT_TRUE(copy.InsertTuple("S", {"cc"}).ok());
+  EXPECT_EQ(copy.RelationRevision("R"), r0);
+  Result<bool> insert = copy.InsertTuple("R", {"b"});
+  ASSERT_TRUE(insert.ok());
+  EXPECT_TRUE(*insert);
+  const int64_t r1 = copy.RelationRevision("R");
+  EXPECT_GT(r1, r0);
+  EXPECT_EQ(r1, copy.revision());
+  EXPECT_EQ(db.RelationRevision("R"), r0);  // the original is untouched
+  ASSERT_TRUE(copy.DeleteTuple("R", {"b"}).ok());
+  EXPECT_GT(copy.RelationRevision("R"), r1);
+
+  VersionedDatabase vdb(db);
+  ASSERT_TRUE(vdb.Update([](Database& head) {
+                   return head.AddRelation("S", 1, {{"cab"}});
+                 }).ok());
+  EXPECT_EQ(vdb.Snapshot().db().RelationRevision("R"), r0);
+  ASSERT_TRUE(vdb.Update([](Database& head) {
+                   return head.AddRelation("R", 1, {{"a"}, {"ab"}});
+                 }).ok());
+  DbSnapshot head = vdb.Snapshot();
+  EXPECT_GT(head.db().RelationRevision("R"), r0);
+  EXPECT_EQ(head.db().RelationRevision("R"), head.revision());
 }
 
 TEST(DatabaseTest, EmptyDatabase) {
