@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "automata/accept_profile.h"
 #include "obs/trace.h"
 
 namespace strq {
@@ -413,54 +414,53 @@ uint64_t Dfa::CountUpToLength(int n) const {
   return total;
 }
 
-std::vector<std::vector<Symbol>> Dfa::Enumerate(int max_len,
-                                                size_t max_count) const {
-  std::vector<std::vector<Symbol>> out;
-  std::vector<bool> coreach = CoreachableStates();
-  if (!coreach[start_]) return out;
-
-  // Shortlex: breadth-first over (state, word) pruned to co-reachable
-  // states. Words are letter sequences, so this loop is inherently
-  // letter-indexed.
-  std::deque<std::pair<int, std::vector<Symbol>>> queue;
-  queue.push_back({start_, {}});
-  while (!queue.empty() && out.size() < max_count) {
-    auto [q, w] = std::move(queue.front());
-    queue.pop_front();
-    if (accepting_[q]) out.push_back(w);
-    if (static_cast<int>(w.size()) >= max_len) continue;
+void Dfa::Enumerate(
+    const AcceptProfile& profile, int max_len, size_t max_count,
+    const std::function<void(const std::vector<Symbol>&)>& visit) const {
+  if (max_count == 0 || profile.dead(start_)) return;
+  // Shortlex is breadth-first with successors in letter order. A node only
+  // links to its parent, so a prefix is never copied; a successor is
+  // entered only if it can still accept within max_len, so every node leads
+  // to an output. Same-class letters share a successor, so the test runs
+  // once per class.
+  struct Node {
+    size_t parent;
+    int state;
+    int depth;
+    Symbol letter;
+  };
+  std::vector<Node> arena = {{0, start_, 0, 0}};
+  std::vector<char> open(num_classes_);
+  std::vector<Symbol> word;
+  size_t visited = 0;
+  for (size_t head = 0; head < arena.size(); ++head) {
+    const Node node = arena[head];
+    if (accepting_[node.state]) {
+      word.resize(node.depth);
+      for (size_t at = head, i = node.depth; i > 0; at = arena[at].parent) {
+        word[--i] = arena[at].letter;
+      }
+      visit(word);
+      if (++visited == max_count) return;
+    }
+    // Steps left after taking one more letter; 64-bit so that no max_len
+    // can overflow it.
+    const int64_t left = static_cast<int64_t>(max_len) - node.depth - 1;
+    if (left < 0) continue;
+    bool any = false;
+    for (int c = 0; c < num_classes_; ++c) {
+      const int t = NextByClass(node.state, c);
+      open[c] = !profile.dead(t) && profile.MinSteps(t) <= left;
+      any = any || open[c];
+    }
+    if (!any) continue;
     for (int s = 0; s < alphabet_size_; ++s) {
-      int t = Next(q, static_cast<Symbol>(s));
-      if (!coreach[t]) continue;
-      std::vector<Symbol> w2 = w;
-      w2.push_back(static_cast<Symbol>(s));
-      queue.push_back({t, std::move(w2)});
+      if (open[letter_class_[s]]) {
+        arena.push_back({head, Next(node.state, static_cast<Symbol>(s)),
+                         node.depth + 1, static_cast<Symbol>(s)});
+      }
     }
   }
-  return out;
-}
-
-std::optional<std::vector<Symbol>> Dfa::ShortestAccepted() const {
-  // BFS from start recording the first-reached word (letter order keeps the
-  // witness shortlex-minimal).
-  std::vector<bool> seen(num_states_, false);
-  std::deque<std::pair<int, std::vector<Symbol>>> queue;
-  queue.push_back({start_, {}});
-  seen[start_] = true;
-  while (!queue.empty()) {
-    auto [q, w] = std::move(queue.front());
-    queue.pop_front();
-    if (accepting_[q]) return w;
-    for (int s = 0; s < alphabet_size_; ++s) {
-      int t = Next(q, static_cast<Symbol>(s));
-      if (seen[t]) continue;
-      seen[t] = true;
-      std::vector<Symbol> w2 = w;
-      w2.push_back(static_cast<Symbol>(s));
-      queue.push_back({t, std::move(w2)});
-    }
-  }
-  return std::nullopt;
 }
 
 std::optional<int> Dfa::MaxAcceptedLength() const {

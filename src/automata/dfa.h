@@ -2,6 +2,7 @@
 #define STRQ_AUTOMATA_DFA_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "base/status.h"
 
 namespace strq {
+
+class AcceptProfile;
 
 // A complete deterministic finite automaton over symbols {0..alphabet_size-1}.
 // Transition tables are total: every state has a successor on every symbol
@@ -147,20 +150,22 @@ class Dfa {
   // Number of accepted strings of length at most n (saturating).
   uint64_t CountUpToLength(int n) const;
 
-  // Accepted strings in shortlex order, up to `max_count` strings and length
-  // at most `max_len`. Exact for finite languages when the limits are large
-  // enough.
-  std::vector<std::vector<Symbol>> Enumerate(int max_len,
-                                             size_t max_count) const;
+  // Visits the accepted strings of length at most `max_len` in shortlex
+  // order, stopping after `max_count` of them; the empty string is visited
+  // whenever the start state accepts, whatever `max_len`. `profile` must be
+  // this automaton's accept-distance profile: the walk enters a successor
+  // only if it can still accept within `max_len`. The word passed to
+  // `visit` is a buffer valid only during the call.
+  void Enumerate(const AcceptProfile& profile, int max_len, size_t max_count,
+                 const std::function<void(const std::vector<Symbol>&)>& visit)
+      const;
 
   // States from which an accepting state is reachable.
   std::vector<bool> CoreachableStates() const;
 
-  // A shortest accepted string, if the language is non-empty.
-  std::optional<std::vector<Symbol>> ShortestAccepted() const;
-
   // Length of the longest accepted string: -1 if the language is empty,
-  // nullopt if it is infinite. Used to enumerate finite languages exactly.
+  // nullopt if it is infinite. The exact bound for finite languages whose
+  // accept-distance profile saturates.
   std::optional<int> MaxAcceptedLength() const;
 
   // Language transformations (all return complete DFAs).

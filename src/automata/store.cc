@@ -39,7 +39,7 @@ const AcceptProfile& DfaRef::Profile() const {
   std::call_once(payload_->profile_once, [this] {
     payload_->profile = std::make_unique<const AcceptProfile>(payload_->dfa);
     obs::MemAdd(obs::MemCategory::kStore, payload_->profile->bytes());
-    obs::Count(obs::kLazyProfilesBuilt);
+    obs::Count(obs::kStoreProfilesBuilt);
   });
   return *payload_->profile;
 }

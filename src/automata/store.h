@@ -48,7 +48,7 @@ class DfaRef {
 
   // The automaton's accept-distance profile, built on the first call for
   // this interned payload (thread-safe, exactly once; counted by
-  // lazy.profiles_built) and freed with it. Its bytes are charged to the
+  // store.profiles_built) and freed with it. Its bytes are charged to the
   // obs::MemCategory::kStore gauge.
   const AcceptProfile& Profile() const;
 

@@ -783,6 +783,7 @@ Result<bool> AutomataEvaluator::Contains(const FormulaPtr& f,
     return rel.Contains(tuple);
   }
   STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f, planned));
+  obs::Span span("lazy.walk");
   return product.Contains(tuple);
 }
 
@@ -809,6 +810,7 @@ AutomataEvaluator::ExistsWitness(const FormulaPtr& f) {
     return std::optional<std::vector<std::string>>(std::move(tuples[0]));
   }
   STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f, planned));
+  obs::Span span("lazy.walk");
   return product.ShortestWitness();
 }
 
@@ -837,6 +839,7 @@ Result<std::vector<std::vector<std::string>>> AutomataEvaluator::TopK(
     return tuples;
   }
   STRQ_ASSIGN_OR_RETURN(lazy::LazyProduct product, CompileLazy(f, planned));
+  obs::Span span("lazy.walk");
   return product.TopK(k, max_len);
 }
 

@@ -72,20 +72,6 @@ std::vector<Symbol> ConvAlphabet::Convolve(
   return word;
 }
 
-std::vector<std::vector<Symbol>> ConvAlphabet::Deconvolve(
-    const std::vector<Symbol>& word) const {
-  std::vector<std::vector<Symbol>> tuple(arity_);
-  for (Symbol letter : word) {
-    std::vector<int> digits = Decode(letter);
-    for (int t = 0; t < arity_; ++t) {
-      if (digits[t] != pad()) {
-        tuple[t].push_back(static_cast<Symbol>(digits[t]));
-      }
-    }
-  }
-  return tuple;
-}
-
 Result<std::vector<Symbol>> ConvAlphabet::ConvolveStrings(
     const Alphabet& alphabet, const std::vector<std::string>& tuple) const {
   if (static_cast<int>(tuple.size()) != arity_) {
@@ -102,10 +88,13 @@ Result<std::vector<Symbol>> ConvAlphabet::ConvolveStrings(
 
 std::vector<std::string> ConvAlphabet::DeconvolveStrings(
     const Alphabet& alphabet, const std::vector<Symbol>& word) const {
-  std::vector<std::vector<Symbol>> tuple = Deconvolve(word);
-  std::vector<std::string> out;
-  out.reserve(tuple.size());
-  for (const auto& w : tuple) out.push_back(alphabet.Decode(w));
+  std::vector<std::string> out(arity_);
+  for (Symbol letter : word) {
+    for (int t = 0; t < arity_; ++t) {
+      const int digit = DigitAt(letter, t);
+      if (digit != pad()) out[t].push_back(alphabet.CharOf(digit));
+    }
+  }
   return out;
 }
 

@@ -68,13 +68,11 @@ class ConvAlphabet {
   std::vector<Symbol> Convolve(
       const std::vector<std::vector<Symbol>>& tuple) const;
 
-  // Inverse of Convolve; precondition: `word` is canonical.
-  std::vector<std::vector<Symbol>> Deconvolve(
-      const std::vector<Symbol>& word) const;
-
   // Convenience over character strings.
   Result<std::vector<Symbol>> ConvolveStrings(
       const Alphabet& alphabet, const std::vector<std::string>& tuple) const;
+  // Inverse of ConvolveStrings; precondition: `word` is canonical. Digits
+  // are read with DigitAt and appended straight to the k output strings.
   std::vector<std::string> DeconvolveStrings(
       const Alphabet& alphabet, const std::vector<Symbol>& word) const;
 

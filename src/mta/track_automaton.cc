@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <limits>
 #include <string>
 
 #include "automata/ops.h"
@@ -137,8 +138,11 @@ Result<TrackAutomaton> TrackAutomaton::FullRelation(
   STRQ_ASSIGN_OR_RETURN(
       ConvAlphabet conv,
       ConvAlphabet::Create(alphabet.size(), static_cast<int>(vars.size())));
-  return Create(store, alphabet, std::move(vars),
-                Dfa::AllStrings(conv.num_letters()));
+  // Σ* ∩ Valid(arity) is Valid(arity) itself, interned once per store and
+  // arity, so a repeat builds and minimizes nothing.
+  STRQ_ASSIGN_OR_RETURN(DfaRef valid, ValidRef(store, conv));
+  return TrackAutomaton(alphabet, std::move(vars), conv, std::move(valid),
+                        &store);
 }
 
 Result<TrackAutomaton> TrackAutomaton::FullRelation(const Alphabet& alphabet,
@@ -652,9 +656,10 @@ Result<bool> TrackAutomaton::TruthValue() const {
 std::vector<std::vector<std::string>> TrackAutomaton::EnumerateTuples(
     int max_len, size_t max_count) const {
   std::vector<std::vector<std::string>> out;
-  for (const std::vector<Symbol>& word : dfa_->Enumerate(max_len, max_count)) {
-    out.push_back(conv_.DeconvolveStrings(alphabet_, word));
-  }
+  dfa_->Enumerate(dfa_.Profile(), max_len, max_count,
+                  [&](const std::vector<Symbol>& word) {
+                    out.push_back(conv_.DeconvolveStrings(alphabet_, word));
+                  });
   return out;
 }
 
@@ -683,13 +688,27 @@ Result<Dfa> TrackAutomaton::UnaryLanguage() const {
 
 Result<std::vector<std::vector<std::string>>> TrackAutomaton::AllTuples(
     size_t max_count) const {
-  std::optional<int> max_len = dfa_->MaxAcceptedLength();
-  if (!max_len.has_value()) {
-    return UnsafeError("relation is infinite; cannot enumerate all tuples");
+  // The interned automaton's profile decides finiteness and the length
+  // bound: built once per answer, so a warm repeat pays nothing for them.
+  // Only a start state whose longest word is unbounded or saturated (at
+  // least AcceptProfile::kSaturated letters) needs the exact passes.
+  const AcceptProfile& profile = dfa_.Profile();
+  const int start = dfa_->start();
+  if (profile.dead(start)) return std::vector<std::vector<std::string>>{};
+  int max_len = profile.MaxSteps(start);
+  if (max_len == AcceptProfile::kUnbounded) {
+    std::optional<int> exact = dfa_->MaxAcceptedLength();
+    if (!exact.has_value()) {
+      return UnsafeError("relation is infinite; cannot enumerate all tuples");
+    }
+    max_len = *exact;
   }
-  if (*max_len < 0) return std::vector<std::vector<std::string>>{};
-  std::vector<std::vector<std::string>> out =
-      EnumerateTuples(*max_len, max_count + 1);
+  // One tuple past the budget tells an exact fit from an overflow; the +1
+  // saturates so that an unlimited budget stays unlimited.
+  const size_t probe =
+      max_count == std::numeric_limits<size_t>::max() ? max_count
+                                                      : max_count + 1;
+  std::vector<std::vector<std::string>> out = EnumerateTuples(max_len, probe);
   if (out.size() > max_count) {
     return ResourceExhaustedError("finite relation larger than budget");
   }

@@ -125,6 +125,11 @@ inline constexpr char kStoreOpMisses[] = "store.op_misses";
 // Budgeted ops answered from the memoized RESOURCE_EXHAUSTED set (same op,
 // operands, and effective budget) without re-running the kernel.
 inline constexpr char kStoreExhaustedHits[] = "store.exhausted_hits";
+// Accept-distance profiles built for interned automata (DfaRef::Profile), on
+// first use by a lazy product or by an answer's materialization. Each
+// interned automaton builds at most one, so on a warm store this stays flat
+// while requests repeat.
+inline constexpr char kStoreProfilesBuilt[] = "store.profiles_built";
 inline constexpr char kAtomCacheHits[] = "atom_cache.hits";
 inline constexpr char kAtomCacheMisses[] = "atom_cache.misses";
 // A thread found another thread already compiling the atom/pattern it wanted
@@ -151,10 +156,6 @@ inline constexpr char kConcatBoundedRounds[] = "concat.bounded_rounds";
 inline constexpr char kLazyStatesCreated[] = "lazy.states_created";
 inline constexpr char kLazyCacheHits[] = "lazy.cache_hits";
 inline constexpr char kLazyEarlyExits[] = "lazy.early_exits";
-// Accept-distance profiles built for interned automata on their first use by
-// a lazy product. Each interned automaton builds at most one, so on a warm
-// store this stays flat while lazy requests repeat.
-inline constexpr char kLazyProfilesBuilt[] = "lazy.profiles_built";
 // Planner counters (src/plan): plan-cache traffic, rewrite activity, and the
 // estimated-vs-actual state accounting ExplainAnalyze surfaces.
 inline constexpr char kPlanCacheHits[] = "plan.cache_hits";

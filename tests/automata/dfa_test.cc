@@ -27,6 +27,15 @@ std::vector<Symbol> Enc(const std::string& s) {
   return *std::move(r);
 }
 
+// The words Dfa::Enumerate visits, collected.
+std::vector<std::vector<Symbol>> Enumerated(const Dfa& d, int max_len,
+                                            size_t max_count) {
+  std::vector<std::vector<Symbol>> out;
+  d.Enumerate(AcceptProfile(d), max_len, max_count,
+              [&](const std::vector<Symbol>& w) { out.push_back(w); });
+  return out;
+}
+
 TEST(DfaTest, CreateValidation) {
   EXPECT_FALSE(Dfa::Create(2, 0, {}, {}).ok());                   // no states
   EXPECT_FALSE(Dfa::Create(0, 0, {{}}, {true}).ok());             // no symbols
@@ -110,7 +119,7 @@ TEST(DfaTest, CountLength) {
 
 TEST(DfaTest, EnumerateShortlex) {
   Dfa d = EvenOnes();
-  std::vector<std::vector<Symbol>> words = d.Enumerate(2, 100);
+  std::vector<std::vector<Symbol>> words = Enumerated(d, 2, 100);
   // Even number of 1s, length <= 2, in shortlex: ε, 0, 00, 11.
   ASSERT_EQ(words.size(), 4u);
   EXPECT_EQ(words[0], Enc(""));
@@ -120,16 +129,9 @@ TEST(DfaTest, EnumerateShortlex) {
 }
 
 TEST(DfaTest, EnumerateRespectsCountLimit) {
-  std::vector<std::vector<Symbol>> words = Dfa::AllStrings(2).Enumerate(10, 5);
+  std::vector<std::vector<Symbol>> words =
+      Enumerated(Dfa::AllStrings(2), 10, 5);
   EXPECT_EQ(words.size(), 5u);
-}
-
-TEST(DfaTest, ShortestAccepted) {
-  Dfa d = Dfa::SingleString(2, Enc("110"));
-  auto w = d.ShortestAccepted();
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(*w, Enc("110"));
-  EXPECT_FALSE(Dfa::EmptyLanguage(2).ShortestAccepted().has_value());
 }
 
 TEST(DfaTest, MaxAcceptedLength) {
@@ -446,7 +448,7 @@ TEST(DfaTest, EnumerateMatchesWordOracle) {
       std::vector<std::vector<Symbol>> prefix(
           expected.begin(),
           expected.begin() + std::min(count, expected.size()));
-      EXPECT_EQ(d.Enumerate(max_len, count), prefix)
+      EXPECT_EQ(Enumerated(d, max_len, count), prefix)
           << "trial " << trial << " count " << count;
     }
   }

@@ -221,7 +221,7 @@ TEST(AutomatonStoreTest, ProfileIsBuiltOncePerPayloadAcrossThreads) {
     AutomatonStore store;
     DfaRef a = store.Intern(Regex("(0|1)*0110(0|1)*"));
     const int64_t store_bytes = store.stats().bytes;
-    const int64_t built = metrics.Get(obs::kLazyProfilesBuilt);
+    const int64_t built = metrics.Get(obs::kStoreProfilesBuilt);
     std::vector<const AcceptProfile*> seen(4, nullptr);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -231,7 +231,7 @@ TEST(AutomatonStoreTest, ProfileIsBuiltOncePerPayloadAcrossThreads) {
       });
     }
     for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(metrics.Get(obs::kLazyProfilesBuilt) - built, 1);
+    EXPECT_EQ(metrics.Get(obs::kStoreProfilesBuilt) - built, 1);
     for (const AcceptProfile* p : seen) EXPECT_EQ(p, &a.Profile());
     EXPECT_EQ(a.Profile().MinSteps(a->start()), 4);
     EXPECT_EQ(a.Profile().MaxSteps(a->start()), AcceptProfile::kUnbounded);

@@ -318,17 +318,17 @@ TEST(LazyWorkTest, ProfilesAreBuiltOncePerInternedAutomaton) {
                          std::make_shared<AtomCache>(db.alphabet(), &store));
   FormulaPtr f = Q("R(x) & like(x, '%0110%')");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const int64_t before = metrics.Get(obs::kLazyProfilesBuilt);
+  const int64_t before = metrics.Get(obs::kStoreProfilesBuilt);
   int64_t first = 0;
   for (int i = 0; i < 100; ++i) {
     Result<lazy::LazyProduct> lazy = eval.CompileLazy(f);
     ASSERT_TRUE(lazy.ok()) << lazy.status();
     ASSERT_TRUE(lazy->TopK(10, 64).ok());
-    if (i == 0) first = metrics.Get(obs::kLazyProfilesBuilt) - before;
+    if (i == 0) first = metrics.Get(obs::kStoreProfilesBuilt) - before;
   }
   // Valid(1), R's trie and the LIKE automaton.
   EXPECT_EQ(first, 3);
-  EXPECT_EQ(metrics.Get(obs::kLazyProfilesBuilt) - before, first);
+  EXPECT_EQ(metrics.Get(obs::kStoreProfilesBuilt) - before, first);
 }
 
 // An early-exit request plans once: AdviseLazy and the route it picks read
@@ -366,6 +366,33 @@ TEST(LazyWorkTest, EarlyModesPlanOncePerRequest) {
   }
   EXPECT_EQ(answers[0].size(), 10u);
   EXPECT_EQ(answers[0], answers[1]);
+}
+
+// A warm lazy request builds no automaton: the full relation its product
+// runs over is interned once per store and arity, so ten warm TopK(10)
+// calls minimize nothing.
+TEST(LazyWorkTest, WarmTopKMinimizesNothing) {
+  obs::ScopedEnable tracing(true);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  Database db = TrieDb();
+  AutomatonStore store;
+  auto planner = std::make_shared<plan::Planner>();
+  AutomataEvaluator eval(
+      &db, std::make_shared<AtomCache>(db.alphabet(), &store), planner);
+  FormulaPtr f = Q("R(x) & like(x, '%0110%')");
+  // Over 64 recorded states sends the request down the lazy route.
+  planner->RecordActual(f, &db, 10000);
+  ASSERT_TRUE(eval.TopK(f, 10).ok());
+  const int64_t minimizations = metrics.Get(obs::kDfaMinimizations);
+  const int64_t lazy_states = metrics.Get(obs::kLazyStatesCreated);
+  for (int i = 0; i < 10; ++i) {
+    planner->RecordActual(f, &db, 10000);
+    Result<std::vector<std::vector<std::string>>> top = eval.TopK(f, 10);
+    ASSERT_TRUE(top.ok()) << top.status();
+    EXPECT_EQ(top->size(), 10u);
+  }
+  EXPECT_GT(metrics.Get(obs::kLazyStatesCreated), lazy_states);
+  EXPECT_EQ(metrics.Get(obs::kDfaMinimizations) - minimizations, 0);
 }
 
 }  // namespace

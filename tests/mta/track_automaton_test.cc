@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "base/rng.h"
@@ -177,6 +178,19 @@ TEST(TrackAutomatonTest, AllTuplesRejectsInfinite) {
   Result<std::vector<std::vector<std::string>>> all = full->AllTuples();
   ASSERT_FALSE(all.ok());
   EXPECT_EQ(all.status().code(), StatusCode::kUnsafe);
+}
+
+// An unlimited budget stays unlimited: the one-past-the-budget probe must
+// not wrap to zero and return an empty OK answer.
+TEST(TrackAutomatonTest, AllTuplesUnlimitedBudgetReturnsEverything) {
+  Result<TrackAutomaton> rel = TrackAutomaton::FromTuples(
+      kBin, {0}, {{"0"}, {"11"}, {"010"}});
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  Result<std::vector<std::vector<std::string>>> all =
+      rel->AllTuples(std::numeric_limits<size_t>::max());
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(*all, (std::vector<std::vector<std::string>>{
+                      {"0"}, {"11"}, {"010"}}));
 }
 
 TEST(TrackAutomatonTest, IntersectAlignsVariables) {

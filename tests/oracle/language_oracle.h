@@ -202,6 +202,134 @@ inline bool IsCanonicalConvolution(
   return true;
 }
 
+// The digits of a convolution letter over `arity` tracks with digits
+// 0..pad (pad is the end-of-track digit): track t's digit has weight
+// (pad+1)^t.
+inline std::vector<int> Column(int letter, int arity, int pad) {
+  std::vector<int> col;
+  for (int t = 0; t < arity; ++t) {
+    col.push_back(letter % (pad + 1));
+    letter /= pad + 1;
+  }
+  return col;
+}
+
+// The letter whose digits are `col`; inverse of Column.
+inline int Letter(const std::vector<int>& col, int pad) {
+  int letter = 0;
+  for (size_t t = col.size(); t-- > 0;) letter = letter * (pad + 1) + col[t];
+  return letter;
+}
+
+// A DFA for the words `d` accepts that are canonical convolutions over
+// `arity` tracks: d's state paired with the set of tracks already ended,
+// plus one rejecting sink for columns that restart a track or pad them all.
+inline PlainDfa CanonicalOnly(const PlainDfa& d, int arity, int pad) {
+  const int masks = 1 << arity;
+  const int sink = d.size() * masks;
+  PlainDfa p;
+  p.k = d.k;
+  p.start = d.start * masks;
+  for (int q = 0; q <= sink; ++q) {
+    std::vector<int> row(d.k, sink);
+    if (q != sink) {
+      const int state = q / masks;
+      const int ended = q % masks;
+      for (int s = 0; s < d.k; ++s) {
+        std::vector<int> col = Column(s, arity, pad);
+        int now = ended;
+        bool ok = false;  // some track still running
+        for (int t = 0; t < arity; ++t) {
+          if (col[t] == pad) {
+            now |= 1 << t;
+          } else {
+            ok = true;
+            if (ended & (1 << t)) now = -1;
+          }
+          if (now < 0) break;
+        }
+        if (ok && now >= 0) row[s] = d.next[state][s] * masks + now;
+      }
+    }
+    p.next.push_back(std::move(row));
+    p.accepting.push_back(q != sink && d.accepting[q / masks]);
+  }
+  return p;
+}
+
+// States that are reachable and from which an accepting state is reachable.
+inline std::vector<bool> Useful(const PlainDfa& d) {
+  std::vector<bool> useful = Reachable(d);
+  std::vector<bool> coreach(d.size(), false);
+  for (int q = 0; q < d.size(); ++q) coreach[q] = d.accepting[q];
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int q = 0; q < d.size(); ++q) {
+      if (coreach[q]) continue;
+      for (int t : d.next[q]) {
+        if (coreach[t]) {
+          coreach[q] = changed = true;
+          break;
+        }
+      }
+    }
+  }
+  for (int q = 0; q < d.size(); ++q) useful[q] = useful[q] && coreach[q];
+  return useful;
+}
+
+// True iff the language is infinite: some useful state can return to itself
+// through useful states.
+inline bool IsInfinite(const PlainDfa& d) {
+  std::vector<bool> useful = Useful(d);
+  for (int root = 0; root < d.size(); ++root) {
+    if (!useful[root]) continue;
+    std::vector<bool> seen(d.size(), false);
+    std::vector<int> stack = {root};
+    while (!stack.empty()) {
+      int q = stack.back();
+      stack.pop_back();
+      for (int t : d.next[q]) {
+        if (!useful[t]) continue;
+        if (t == root) return true;
+        if (!seen[t]) {
+          seen[t] = true;
+          stack.push_back(t);
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// Shortlex order: shorter words first, equal lengths by letters.
+inline bool ShortlexLess(const Word& a, const Word& b) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return a < b;
+}
+
+// Every word of a finite language, in shortlex order: all paths from the
+// start through useful states, recorded where they accept.
+inline std::vector<Word> AllAccepted(const PlainDfa& d) {
+  std::vector<bool> useful = Useful(d);
+  std::vector<Word> out;
+  if (!useful[d.start]) return out;
+  std::vector<std::pair<int, Word>> stack = {{d.start, {}}};
+  while (!stack.empty()) {
+    auto [q, w] = std::move(stack.back());
+    stack.pop_back();
+    if (d.accepting[q]) out.push_back(w);
+    for (int s = 0; s < d.k; ++s) {
+      if (!useful[d.next[q][s]]) continue;
+      Word longer = w;
+      longer.push_back(s);
+      stack.emplace_back(d.next[q][s], std::move(longer));
+    }
+  }
+  std::sort(out.begin(), out.end(), ShortlexLess);
+  return out;
+}
+
 // A finite relation as an explicit tuple set. `vars` is strictly increasing
 // and column i of every tuple belongs to vars[i].
 using Tuple = std::vector<std::string>;
