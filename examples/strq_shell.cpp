@@ -718,11 +718,9 @@ class Shell {
     if (server_->incremental() != nullptr) {
       const incr::Stats inc = server_->incremental()->stats();
       Printf(out,
-             "  incremental: %lld trie patch(es), %lld recompile(s), %lld "
-             "compaction(s), %lld unchanged hit(s), %lld answer hit(s)\n",
-             static_cast<long long>(inc.patches),
+             "  incremental: %lld recompile(s), %lld unchanged hit(s), %lld "
+             "answer hit(s)\n",
              static_cast<long long>(inc.recompiles),
-             static_cast<long long>(inc.compactions),
              static_cast<long long>(inc.unchanged_hits),
              static_cast<long long>(inc.answer_hits));
     }

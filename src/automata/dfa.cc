@@ -730,6 +730,101 @@ Dfa Dfa::Minimized() const {
                            accepting, block_of, num_parts);
 }
 
+Dfa Dfa::MinimalFromWords(int alphabet_size,
+                           const std::vector<std::vector<Symbol>>& words) {
+  // Hint classes: one per letter some word uses, and one shared column for
+  // the unused letters (all lead to the sink), numbered by first letter
+  // occurrence as CanonicalQuotient requires.
+  constexpr int kUsed = -2;
+  std::vector<int> letter_class(alphabet_size, -1);
+  for (const std::vector<Symbol>& w : words) {
+    for (Symbol a : w) letter_class[a] = kUsed;
+  }
+  int h = 0;
+  int unused = -1;
+  for (int& c : letter_class) {
+    if (c == kUsed) {
+      c = h++;
+    } else {
+      if (unused < 0) unused = h++;
+      c = unused;
+    }
+  }
+
+  // Flat trie, row-major over the h columns; -1 marks a missing child. Nodes
+  // are appended, so every child's id exceeds its parent's.
+  std::vector<int> child(h, -1);
+  std::vector<uint8_t> accept(1, 0);
+  for (const std::vector<Symbol>& w : words) {
+    int q = 0;
+    for (Symbol a : w) {
+      size_t slot = static_cast<size_t>(q) * h + letter_class[a];
+      if (child[slot] < 0) {
+        child[slot] = static_cast<int>(accept.size());
+        accept.push_back(0);
+        child.resize(child.size() + h, -1);
+      }
+      q = child[slot];
+    }
+    accept[q] = 1;
+  }
+
+  // Bottom-up classes. Class 0 is the sink (only the root of an empty word
+  // set joins it); a node's row is rewritten in place to its successors'
+  // classes, which makes the row its signature.
+  // The register is an open-addressing table of representative nodes.
+  const int n = static_cast<int>(accept.size());
+  std::vector<int> cls(n);
+  std::vector<int> reps = {-1};
+  size_t cap = 2;
+  while (cap < 2 * static_cast<size_t>(n)) cap <<= 1;
+  std::vector<int> reg(cap, -1);
+  for (int q = n - 1; q >= 0; --q) {
+    int* row = &child[static_cast<size_t>(q) * h];
+    uint64_t hash = 1469598103934665603ULL ^ accept[q];
+    bool dead = accept[q] == 0;
+    for (int c = 0; c < h; ++c) {
+      row[c] = row[c] < 0 ? 0 : cls[row[c]];
+      dead = dead && row[c] == 0;
+      hash = (hash ^ static_cast<uint64_t>(row[c])) * 1099511628211ULL;
+    }
+    if (dead) {
+      cls[q] = 0;
+      continue;
+    }
+    for (size_t i = hash & (cap - 1);; i = (i + 1) & (cap - 1)) {
+      int r = reg[i];
+      if (r < 0) {
+        reg[i] = q;
+        cls[q] = static_cast<int>(reps.size());
+        reps.push_back(q);
+        break;
+      }
+      if (accept[r] == accept[q] &&
+          std::equal(row, row + h, &child[static_cast<size_t>(r) * h])) {
+        cls[q] = cls[r];
+        break;
+      }
+    }
+  }
+
+  // The quotient by those classes is already a DFA over class ids; hand it
+  // to the canonical renumbering with the identity partition.
+  const int k = static_cast<int>(reps.size());
+  std::vector<int> qnext(static_cast<size_t>(k) * h, 0);
+  std::vector<bool> qacc(k, false);
+  for (int b = 1; b < k; ++b) {
+    std::copy_n(&child[static_cast<size_t>(reps[b]) * h], h,
+                &qnext[static_cast<size_t>(b) * h]);
+    qacc[b] = accept[reps[b]] != 0;
+  }
+  std::vector<int> part(k);
+  std::iota(part.begin(), part.end(), 0);
+  obs::Count(obs::kDfaStatesBuilt, k);
+  return CanonicalQuotient(alphabet_size, letter_class, h, k, cls[0], qnext,
+                           qacc, part, k);
+}
+
 Dfa Dfa::MinimizedMoore() const {
   obs::Span span("dfa.minimize");
   std::vector<int> rnext;

@@ -178,6 +178,17 @@ class Dfa {
   // structurally identical automata.
   Dfa Minimized() const;
 
+  // The canonical minimal DFA of a finite set of words over
+  // {0..alphabet_size-1} (duplicates allowed), built in one linear pass with
+  // no Hopcroft refinement (Revuz 1992): a flat trie whose children are
+  // numbered after their parents, equivalence classes assigned bottom-up
+  // through a register of (accept bit, successor classes) signatures, then
+  // the canonical quotient. Structurally equal to Minimized() of the same
+  // trie. Rows span only the letters the words use plus one shared column
+  // for the rest, so the table never exceeds the dense letter-indexed trie.
+  static Dfa MinimalFromWords(int alphabet_size,
+                              const std::vector<std::vector<Symbol>>& words);
+
   // Reference Moore partition refinement (O(n²·|Σ|)), kept for differential
   // testing of Minimized(). Produces the same canonical numbering. Always
   // letter-dense.

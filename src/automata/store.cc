@@ -117,6 +117,11 @@ DfaRef AutomatonStore::Intern(const Dfa& dfa) const {
   return InternCanonical(dfa.Minimized());
 }
 
+DfaRef AutomatonStore::InternWords(
+    int alphabet_size, const std::vector<std::vector<Symbol>>& words) const {
+  return InternCanonical(Dfa::MinimalFromWords(alphabet_size, words));
+}
+
 std::optional<DfaRef> AutomatonStore::Lookup(const OpKey& key) const {
   if (caching_enabled_) {
     OpStripe& stripe = OpStripeFor(key);

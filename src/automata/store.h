@@ -189,6 +189,12 @@ class AutomatonStore {
   // returns the same id and the same underlying object.
   DfaRef Intern(const Dfa& dfa) const;
 
+  // Interns the finite language of `words` over {0..alphabet_size-1}, built
+  // minimal by construction (Dfa::MinimalFromWords): same id as Intern() of
+  // any DFA for those words, with no Hopcroft pass.
+  DfaRef InternWords(int alphabet_size,
+                     const std::vector<std::vector<Symbol>>& words) const;
+
   // Memoized language operations. Operands may come from a different store;
   // they are re-interned here first (cheap when already canonical).
   // `max_states` bounds the product kernel: 0 resolves to the installed

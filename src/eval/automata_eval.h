@@ -25,14 +25,14 @@ namespace strq {
 // latter, so it needs no supplier of its own). The default (no provider)
 // path builds them from tuples through the AtomCache, keyed on the database
 // revision. The incremental-maintenance index (src/incr) implements this
-// interface by PATCHING a prior revision's automaton with the tuple deltas
-// in between instead of rebuilding.
+// interface by reusing a prior revision's automaton for every relation
+// whose contents did not change, rebuilding only the others.
 //
 // Contract: the returned automaton must be over exactly `vars` (pairwise
 // distinct, as handed in by the compiler) and its language must equal what
 // the default build would produce for `db`'s current contents — store
 // interning then guarantees the canonical id is identical either way, which
-// is what keeps answers and store ids invariant across patch vs recompile.
+// is what keeps answers and store ids invariant across reuse vs rebuild.
 class TrieProvider {
  public:
   virtual ~TrieProvider() = default;

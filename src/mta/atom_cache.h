@@ -122,12 +122,12 @@ class AtomCache {
   // TableTrie with an arbitrary builder: same keyspace ("rel:<name>:<rev>"
   // style, so EvictRevisionEntries reclaims these entries too) and the same
   // single-flight miss path, but the automaton comes from `build` instead
-  // of a FromTuples rebuild. The incremental index (src/incr) uses this to
-  // install PATCHED tries — a prior revision's trie plus a small delta —
+  // of the supplier's tuples. The incremental index (src/incr) uses this to
+  // install a prior revision's trie, when the relation did not change,
   // under the key the compilers will look up for the new revision. `build`
   // must produce canonical variables 0..k-1 with the same language a
-  // FromTuples rebuild would; store interning then guarantees the patched
-  // entry is bit-identical (same canonical id) to a recompiled one.
+  // FromTuples rebuild would; store interning then guarantees the entry is
+  // bit-identical (same canonical id) to a rebuilt one.
   Result<TrackAutomaton> CachedTrie(
       const std::string& key, const std::vector<VarId>& vars,
       const std::function<Result<TrackAutomaton>()>& build);

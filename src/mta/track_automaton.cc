@@ -193,48 +193,17 @@ Result<TrackAutomaton> TrackAutomaton::FromTuples(
       ConvAlphabet conv,
       ConvAlphabet::Create(alphabet.size(), static_cast<int>(vars.size())));
 
-  // Deterministic trie over convolution columns; node 0 is the root and the
-  // final slot is the reject sink.
-  struct TrieNode {
-    std::map<Symbol, int> children;
-    bool accepting = false;
-  };
-  std::vector<TrieNode> trie(1);
+  std::vector<std::vector<Symbol>> words;
+  words.reserve(tuples.size());
   for (const std::vector<std::string>& tuple : tuples) {
     STRQ_ASSIGN_OR_RETURN(std::vector<Symbol> word,
                           conv.ConvolveStrings(alphabet, tuple));
-    int node = 0;
-    for (Symbol letter : word) {
-      auto it = trie[node].children.find(letter);
-      if (it == trie[node].children.end()) {
-        trie.push_back(TrieNode{});
-        it = trie[node]
-                 .children.emplace(letter, static_cast<int>(trie.size()) - 1)
-                 .first;
-      }
-      node = it->second;
-    }
-    trie[node].accepting = true;
+    words.push_back(std::move(word));
   }
-
-  int sink = static_cast<int>(trie.size());
-  int n = sink + 1;
-  std::vector<std::vector<int>> next(
-      n, std::vector<int>(static_cast<size_t>(conv.num_letters()), sink));
-  std::vector<bool> accepting(n, false);
-  for (int q = 0; q < sink; ++q) {
-    for (const auto& [letter, target] : trie[q].children) {
-      next[q][letter] = target;
-    }
-    accepting[q] = trie[q].accepting;
-  }
-  STRQ_ASSIGN_OR_RETURN(Dfa dfa, Dfa::Create(conv.num_letters(), 0,
-                                             std::move(next),
-                                             std::move(accepting)));
-  // Every trie word is the convolution of a real tuple, so the language
-  // already lies inside Valid(arity): interning alone is canonical, with no
-  // Valid product and no second minimization (contrast Create).
-  DfaRef ref = store.Intern(dfa);
+  // Every word is the convolution of a real tuple, so the language already
+  // lies inside Valid(arity): the minimal DFA of the words is canonical, with
+  // no Valid product and no minimization (contrast Create).
+  DfaRef ref = store.InternWords(conv.num_letters(), words);
   obs::Count(obs::kMtaStatesBuilt, ref->num_states());
   obs::Count(obs::kMtaTransitionsBuilt, ref->NumTransitions());
   span.Attr("out_states", ref->num_states());

@@ -68,8 +68,9 @@ class TrackAutomaton {
                                       const Alphabet& alphabet, bool value);
   static Result<TrackAutomaton> Truth(const Alphabet& alphabet, bool value);
 
-  // A finite relation given extensionally, e.g. a database table. Built as a
-  // trie over convolution columns, then minimized.
+  // A finite relation given extensionally, e.g. a database table. The
+  // minimal DFA of its convolutions is built directly
+  // (AutomatonStore::InternWords); no minimization runs.
   static Result<TrackAutomaton> FromTuples(
       const AutomatonStore& store, const Alphabet& alphabet,
       std::vector<VarId> vars,

@@ -173,11 +173,11 @@ inline constexpr char kServeAdmissionRejects[] = "serve.admission_rejects";
 inline constexpr char kServeInflightDedupHits[] = "serve.inflight_dedup_hits";
 inline constexpr char kServeSnapshotsReclaimed[] = "serve.snapshots_reclaimed";
 inline constexpr char kServeBudgetRejects[] = "serve.budget_rejects";
-// Incremental-maintenance counters (src/incr): tries patched with a small
-// delta instead of rebuilt from tuples, recompiles (trie rebuilds on a
-// broken or too-wide delta chain, answer recompiles after a change), delta
-// folds re-anchoring a base automaton, and unchanged-revision promotions
-// (the delta chain was empty so the old automaton was reused as-is).
+// Incremental-maintenance counters (src/incr): recompiles (trie rebuilds
+// of a changed relation or a new revision's adom, answer recompiles after a
+// change) and unchanged hits (a relation trie or answer reused as-is).
+// Tries are no longer patched, so nothing increments incr.patches or
+// incr.compactions; they stay because perfbench reports them (always 0).
 inline constexpr char kIncrPatches[] = "incr.patches";
 inline constexpr char kIncrRecompiles[] = "incr.recompiles";
 inline constexpr char kIncrCompactions[] = "incr.compactions";
@@ -185,9 +185,9 @@ inline constexpr char kIncrUnchangedHits[] = "incr.unchanged_hits";
 // Active-domain seeds: the index builds its domain counts from the head
 // snapshot only when a domain consumer asks and no commit kept it live.
 inline constexpr char kIncrDomSeeds[] = "incr.dom_seeds";
-// Answer-level patches. Answers are recompiled over patched tries, never
-// patched, so nothing increments this; it stays because perfbench reports
-// it (always 0).
+// Answer-level patches. Answers are recompiled over the maintained tries,
+// never patched, so nothing increments this; it stays because perfbench
+// reports it (always 0).
 inline constexpr char kIncrAnswerPatches[] = "incr.answer_patches";
 // MVCC snapshot surface: cache entries reclaimed when a snapshot's last pin
 // died (same event as serve.snapshots_reclaimed, counted in entries).
@@ -202,8 +202,8 @@ inline constexpr char kHistEnumerateNs[] = "phase.enumerate_ns";
 // End-to-end latency of one served request (admission to answer), as seen by
 // the serving layer across all concurrent sessions.
 inline constexpr char kHistServeLatencyNs[] = "serve.latency_ns";
-// Wall time of one successful incremental trie patch, the quantity that
-// must stay below a rebuild from tuples for patching to pay.
+// Wall time of one incremental trie patch. Tries are rebuilt, not patched,
+// so nothing records it; it stays because perfbench reports it (empty).
 inline constexpr char kHistIncrPatchNs[] = "incr.patch_ns";
 // Wall time from lazy-query start to the first answer (witness found, first
 // top-k tuple, or membership verdict) — the quantity the lazy layer exists

@@ -115,8 +115,8 @@ Result<TrackAutomaton> QueryServer::CompileShared(Session& session,
     CompiledEntry entry;
     entry.formula = f;
     // The leader routes through the incremental index: the answer is
-    // patched forward from the last maintained revision when the delta
-    // window allows, recompiled (over patched tries) otherwise.
+    // reused when its revision or a net-empty delta window allows,
+    // recompiled over the maintained tries otherwise.
     entry.result = incr_ != nullptr ? incr_->CompileAnswer(eval, f, *db)
                                     : eval.Compile(f);
     return entry;
@@ -177,7 +177,8 @@ void Session::Refresh() {
       &snapshot_.db(), server_->atom_cache(), server_->planner());
   eval_->set_parallel_options(parallel_);
   // Relation/adom/prefix automata come from the incremental index (which
-  // patches across revisions) when the server maintains one.
+  // keeps unchanged relations' tries across revisions) when the server
+  // maintains one.
   eval_->set_trie_provider(server_->incremental());
 }
 

@@ -51,9 +51,8 @@ struct ServerOptions {
   // Planner options for the shared planner (plan cache included).
   plan::PlannerOptions planner;
   // Incremental maintenance (src/incr): subscribe an IncrementalIndex to
-  // the commit stream, serve table tries and domain automata by patching
-  // across revisions instead of rebuilding, and memoize answers per
-  // revision. Answers and canonical store ids are identical either way;
+  // the commit stream, keep each relation's table trie across revisions
+  // until that relation changes, and memoize answers per revision. Answers and canonical store ids are identical either way;
   // disable to get the recompile-everything baseline (bench_ablation's
   // update-stream rows).
   bool enable_incremental = true;

@@ -1,4 +1,4 @@
-// The incremental-maintenance subsystem (src/incr): delta-absorbing table
+// The incremental-maintenance subsystem (src/incr): per-relation table
 // tries, refcounted domain maintenance and the per-revision answer memo.
 // The load-bearing invariant everywhere: a served automaton is
 // indistinguishable from a fresh recompile — same answers, same canonical
@@ -63,6 +63,21 @@ void ExpectMatchesFreshRecompile(serve::Session& session,
   EXPECT_EQ(served->IsFinite(), want->IsFinite());
 }
 
+int CountSpans(const obs::TraceNode& node, const std::string& name) {
+  int n = node.name == name ? 1 : 0;
+  for (const auto& child : node.children) n += CountSpans(*child, name);
+  return n;
+}
+
+// Compiles `f` in `session` under a trace and returns how many relation
+// automata the compile built (mta.from_tuples spans).
+int TrieBuildsDuringCompile(serve::Session& session, const FormulaPtr& f) {
+  obs::ScopedEnable tracing(true);
+  obs::TraceSession trace;
+  EXPECT_TRUE(session.Compile(f).ok());
+  return CountSpans(trace.root(), "mta.from_tuples");
+}
+
 TEST(IncrTrieTest, PatchedTrieMatchesRebuildAcrossCommits) {
   serve::QueryServer server(Fixture());
   std::unique_ptr<serve::Session> session = server.OpenSession();
@@ -73,11 +88,22 @@ TEST(IncrTrieTest, PatchedTrieMatchesRebuildAcrossCommits) {
                                  TupleDelta{"R", {"0"}, false}})
                   .ok());
   session->Refresh();
+  // The commit changed R, so its trie is rebuilt from its tuples, once.
+  EXPECT_EQ(TrieBuildsDuringCompile(*session, f), 1);
   ExpectMatchesFreshRecompile(*session, server, f);
   Result<Relation> rows = session->Query(f);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 4u);  // 4 - 1 + 1
-  EXPECT_GT(server.incremental()->stats().patches, 0);
+  // The rebuilt trie serves exactly the relation's tuples.
+  DbSnapshot head = server.versioned_db().Snapshot();
+  Result<TrackAutomaton> trie =
+      server.incremental()->RelationTrie(head.db(), "R", {0});
+  ASSERT_TRUE(trie.ok()) << trie.status().ToString();
+  Result<std::vector<std::vector<std::string>>> tuples = trie->AllTuples(100);
+  ASSERT_TRUE(tuples.ok());
+  Result<Relation> got = Relation::Create(1, *tuples);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->tuples(), head.db().Find("R")->tuples());
 }
 
 TEST(IncrTrieTest, EmptyNetWindowReusesOldAutomaton) {
@@ -86,8 +112,8 @@ TEST(IncrTrieTest, EmptyNetWindowReusesOldAutomaton) {
   FormulaPtr f = Q("R(x)");
   ASSERT_TRUE(session->Compile(f).ok());
   // Insert then delete the same tuple: two commits whose net effect on R
-  // is empty. The replay window folds to nothing and the old automaton is
-  // re-anchored, not patched.
+  // is empty. The answer memo's replay window folds to nothing, so the
+  // stored answer is reused.
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, false}}).ok());
   session->Refresh();
@@ -111,12 +137,6 @@ TEST(IncrTrieTest, OpaqueCommitFallsBackToRecompile) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);
   EXPECT_GT(server.incremental()->stats().recompiles, 0);
-}
-
-int CountSpans(const obs::TraceNode& node, const std::string& name) {
-  int n = node.name == name ? 1 : 0;
-  for (const auto& child : node.children) n += CountSpans(*child, name);
-  return n;
 }
 
 // An opaque reload of R must not rebuild Q: Q's content revision is the
@@ -151,51 +171,20 @@ TEST(IncrTrieTest, ReloadOfOneRelationReusesTheOthersTrie) {
   ExpectMatchesFreshRecompile(*session, server, f);
 }
 
-TEST(IncrTrieTest, WideDeltaRecompilesInsteadOfPatching) {
-  serve::ServerOptions opts;
-  opts.incremental.max_patch_ops = 2;  // any real batch exceeds this
-  serve::QueryServer server(Fixture(), opts);
-  const std::shared_ptr<IncrementalIndex>& index = server.incremental();
-  // Drive the trie layer directly, so the stats move only for the trie
-  // (a served compile would also count the answer memo's recompile).
-  DbSnapshot before = server.versioned_db().Snapshot();
-  ASSERT_TRUE(index->RelationTrie(before.db(), "R", {0}).ok());  // seed base
-  int64_t recompiles_before = index->stats().recompiles;
-  int64_t patches_before = index->stats().patches;
-  ASSERT_TRUE(server
-                  .CommitDeltas({TupleDelta{"R", {"111"}, true},
-                                 TupleDelta{"R", {"1100"}, true},
-                                 TupleDelta{"R", {"0011"}, true}})
-                  .ok());
-  DbSnapshot after = server.versioned_db().Snapshot();
-  Result<TrackAutomaton> trie = index->RelationTrie(after.db(), "R", {0});
-  ASSERT_TRUE(trie.ok()) << trie.status().ToString();
-  // 3 ops > max_patch_ops: rebuilt from tuples, not patched...
-  EXPECT_GT(index->stats().recompiles, recompiles_before);
-  EXPECT_EQ(index->stats().patches, patches_before);
-  // ...and the rebuild serves exactly the relation's tuples.
-  Result<std::vector<std::vector<std::string>>> rows = trie->AllTuples(100);
-  ASSERT_TRUE(rows.ok());
-  Result<Relation> got = Relation::Create(1, *rows);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->tuples(), after.db().Find("R")->tuples());
-}
-
 TEST(IncrAnswerTest, LinearPositiveInsertOnlyDeltaPatchesAnswer) {
   serve::QueryServer server(Fixture());
   std::unique_ptr<serve::Session> session = server.OpenSession();
   // Single positive R occurrence: an insert-only commit reaches the answer
-  // through the patched R trie, and the answer past its memo's revision is
+  // through R's rebuilt trie, and the answer past its memo's revision is
   // recompiled over it.
   FormulaPtr f = Q("exists y. R(y) & x <= y & last[1](x)");
   ASSERT_TRUE(session->Compile(f).ok());
-  int64_t patches_before = server.incremental()->stats().patches;
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"1111"}, true},
                                    TupleDelta{"R", {"1010"}, true}})
                   .ok());
   session->Refresh();
+  EXPECT_EQ(TrieBuildsDuringCompile(*session, f), 1);  // R, rebuilt once
   ExpectMatchesFreshRecompile(*session, server, f);
-  EXPECT_GT(server.incremental()->stats().patches, patches_before);
 }
 
 TEST(IncrAnswerTest, BareAtomPatchesDeletesToo) {
@@ -203,14 +192,13 @@ TEST(IncrAnswerTest, BareAtomPatchesDeletesToo) {
   std::unique_ptr<serve::Session> session = server.OpenSession();
   FormulaPtr f = Q("R(x)");
   ASSERT_TRUE(session->Compile(f).ok());
-  int64_t before = server.incremental()->stats().patches;
   ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"01"}, false},
                                    TupleDelta{"R", {"110"}, false},
                                    TupleDelta{"R", {"111"}, true}})
                   .ok());
   session->Refresh();
+  EXPECT_EQ(TrieBuildsDuringCompile(*session, f), 1);  // R, rebuilt once
   ExpectMatchesFreshRecompile(*session, server, f);
-  EXPECT_GT(server.incremental()->stats().patches, before);
   Result<Relation> rows = session->Query(f);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
@@ -219,7 +207,7 @@ TEST(IncrAnswerTest, BareAtomPatchesDeletesToo) {
 TEST(IncrAnswerTest, NonLinearAndAdomQueriesStayCorrectViaRecompile) {
   serve::QueryServer server(Fixture());
   std::unique_ptr<serve::Session> session = server.OpenSession();
-  // Every answer past its memo's revision is recompiled over the patched
+  // Every answer past its memo's revision is recompiled over the maintained
   // tries, whatever its shape: a bare atom, a single positive R
   // occurrence, two R occurrences, a negated R and an adom-quantified
   // formula. Each must be indistinguishable from a fresh recompile after
@@ -381,22 +369,6 @@ TEST(IncrPlannerTest, LastActualForSurvivesRevisions) {
   EXPECT_FALSE(planner.ActualFor(f, &later).has_value());
   ASSERT_TRUE(planner.LastActualFor(f).has_value());
   EXPECT_EQ(*planner.LastActualFor(f), 10000);
-}
-
-TEST(IncrStatsTest, CompactionReanchorsAfterManySmallCommits) {
-  serve::ServerOptions opts;
-  opts.incremental.compact_ratio = 0.01;  // any delta triggers a fold
-  serve::QueryServer server(Fixture(), opts);
-  std::unique_ptr<serve::Session> session = server.OpenSession();
-  FormulaPtr f = Q("R(x)");
-  ASSERT_TRUE(session->Compile(f).ok());
-  for (int k = 0; k < 4; ++k) {
-    std::string s = "10" + std::string(static_cast<size_t>(k + 1), '1');
-    ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {s}, true}}).ok());
-    session->Refresh();
-    ExpectMatchesFreshRecompile(*session, server, f);
-  }
-  EXPECT_GT(server.incremental()->stats().compactions, 0);
 }
 
 }  // namespace
