@@ -22,11 +22,20 @@ come from BENCHMARK.json; a metric it does not list is better lower, except
 `req_per_s`. With --trace 1 the per-layer `layer` lines are compared too.
 A failed run (non-zero exit: a wrong answer or a failed request) stops the
 comparison.
+
+With --record FILE the comparison is also appended as one JSON record to
+FILE, a JSON list (BENCH_TRAJECTORY.json at the repository root is the
+committed trajectory): the PR number, the baseline sha, pairs, seed and
+run length, and for every workload and every end-to-end metric each
+side's median and quartiles, B/A and B's wins. The PR number is one past
+the `PR <n>` the baseline commit's subject names, the repository's commit
+convention (null if it names none).
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -97,11 +106,12 @@ def run(binary, workload, args):
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         fail("perf_ab: %s failed on %s" % (binary, workload))
-    metrics = {}
+    metrics, e2e = {}, []
     for line in proc.stdout.splitlines():
         parts = line.split()
         if len(parts) >= 3 and parts[0] == "e2e":
             metrics[parts[1]] = float(parts[2])
+            e2e.append(parts[1])
         elif len(parts) >= 3 and parts[0] == "layer" and args.trace:
             metrics["layer:" + parts[1]] = float(parts[2])
         elif parts and parts[0] == "shape" and "p50" in parts:
@@ -110,7 +120,7 @@ def run(binary, workload, args):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     for name, entry in result["metrics"].items():
         metrics.setdefault(name, float(entry["value"]))
-    return metrics
+    return metrics, e2e
 
 
 def higher_is_better():
@@ -130,6 +140,21 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def compare(name, runs_a, runs_b, better):
+    """Median and quartiles of each side, B/A and B's wins for one metric."""
+    a = [r[name] for r in runs_a]
+    b = [r[name] for r in runs_b]
+    qa, qb = quartiles(a), quartiles(b)
+    up = better.get(name.split(":", 1)[-1], False)
+    return {
+        "better": "higher" if up else "lower",
+        "a": {"median": qa[1], "q1": qa[0], "q3": qa[2]},
+        "b": {"median": qb[1], "q1": qb[0], "q3": qb[2]},
+        "b_over_a": qb[1] / qa[1] if qa[1] else None,
+        "wins": sum(1 for x, y in zip(a, b) if (y > x if up else y < x)),
+    }
+
+
 def report(workload, runs_a, runs_b, better):
     names = [n for n in runs_a[0] if all(n in r for r in runs_a + runs_b)]
     print("\n%s: %d pairs (A = baseline, B = working tree)" % (
@@ -137,16 +162,38 @@ def report(workload, runs_a, runs_b, better):
     print("%-44s %30s %30s %7s %5s" % ("metric", "A median [q1, q3]",
                                        "B median [q1, q3]", "B/A", "wins"))
     for name in names:
-        a = [r[name] for r in runs_a]
-        b = [r[name] for r in runs_b]
-        qa, qb = quartiles(a), quartiles(b)
-        key = name.split(":", 1)[-1]
-        up = better.get(key, False)
-        wins = sum(1 for x, y in zip(a, b) if (y > x if up else y < x))
-        ratio = qb[1] / qa[1] if qa[1] else float("nan")
+        c = compare(name, runs_a, runs_b, better)
+        a, b = c["a"], c["b"]
+        ratio = c["b_over_a"] if c["b_over_a"] is not None else float("nan")
         print("%-44s %10.4g [%8.4g, %8.4g] %10.4g [%8.4g, %8.4g] %7.3f %2d/%d%s"
-              % (name, qa[1], qa[0], qa[2], qb[1], qb[0], qb[2], ratio, wins,
-                 len(a), "" if up else "  (lower is better)"))
+              % (name, a["median"], a["q1"], a["q3"], b["median"], b["q1"],
+                 b["q3"], ratio, c["wins"], len(runs_a),
+                 "" if c["better"] == "higher" else "  (lower is better)"))
+
+
+def pr_number(sha):
+    """One past the `PR <n>` the commit's subject names, or None."""
+    numbers = re.findall(r"\bPR (\d+)", git("log", "-1", "--format=%s", sha))
+    return int(numbers[0]) + 1 if numbers else None
+
+
+def record(path, sha, args, e2e):
+    """Appends this comparison to the JSON list in `path`."""
+    trajectory = []
+    if os.path.exists(path):
+        with open(path) as f:
+            trajectory = json.load(f)
+    trajectory.append({
+        "pr": pr_number(sha),
+        "baseline": sha,
+        "pairs": args.pairs,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "workloads": e2e,
+    })
+    with open(path, "w") as f:
+        json.dump(trajectory, f, indent=1)
+        f.write("\n")
 
 
 def main():
@@ -159,22 +206,33 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=5)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--record", metavar="FILE",
+                        help="append the comparison to this JSON list")
     args = parser.parse_args()
     tree, sha = export_baseline(args.baseline)
     print("A: %s (%s)\nB: working tree %s" % (args.baseline, sha, ROOT))
     binary_a = build(tree)
     binary_b = build(ROOT)
     better = higher_is_better()
+    e2e = {}
     for workload in args.workload or WORKLOADS:
-        runs_a, runs_b = [], []
+        runs_a, runs_b, e2e_names = [], [], set()
         for pair in range(args.pairs):
             order = [(binary_a, runs_a), (binary_b, runs_b)]
             if pair % 2:
                 order.reverse()
             for binary, runs in order:
-                runs.append(run(binary, workload, args))
+                metrics, printed = run(binary, workload, args)
+                runs.append(metrics)
+                e2e_names.update(printed)
             print("  pair %d/%d done" % (pair + 1, args.pairs), flush=True)
         report(workload, runs_a, runs_b, better)
+        e2e[workload] = {
+            n: compare(n, runs_a, runs_b, better) for n in runs_a[0]
+            if n in e2e_names and all(n in r for r in runs_a + runs_b)}
+    if args.record:
+        record(args.record, git("rev-parse", "--verify", args.baseline +
+                                "^{commit}"), args, e2e)
     return 0
 
 

@@ -5,7 +5,7 @@
 // Dfa over the base alphabet. This is the SparseAutomaton → DFA-cache
 // pattern (RediSearch levenshtein.h) referenced by ROADMAP item 3; the
 // resulting DFA backs the `~k` similarity predicate in both engines and the
-// guard automata of the trie-guided candidate scan.
+// guard automata of Engine B's guided walk over the active domain.
 //
 // Bounded-edit-distance neighborhoods are finite languages, hence star-free,
 // hence inside the paper's fragment S — the signature checker admits `~k`

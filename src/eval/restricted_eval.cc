@@ -12,6 +12,7 @@
 #include "base/budget.h"
 #include "base/string_ops.h"
 #include "obs/trace.h"
+#include "relational/domain_walk.h"
 
 namespace strq {
 
@@ -21,16 +22,11 @@ using Env = std::map<std::string, std::string>;
 
 class Evaluator {
  public:
-  // `adom` is an optional precomputed active domain (the incremental
-  // domain provider's maintained view); null means scan the database.
-  // `provider` (optional) additionally serves trie-indexed views for
-  // DFA-guided candidate pruning.
+  // Borrows `adom`, the request's active domain, which must outlive the
+  // evaluator.
   Evaluator(const Database* db, const RestrictedEvaluator::Options& options,
-            AtomCache* cache, const std::vector<std::string>* adom = nullptr,
-            const DomainProvider* provider = nullptr)
-      : db_(db), options_(options), cache_(cache), provider_(provider) {
-    adom_ = adom != nullptr ? *adom : db_->ActiveDomain();
-  }
+            AtomCache* cache, const std::vector<std::string>& adom)
+      : db_(db), options_(options), cache_(cache), adom_(adom) {}
 
   Result<bool> Eval(const FormulaPtr& f, Env& env) {
     switch (f->kind) {
@@ -230,37 +226,20 @@ class Evaluator {
     out->push_back(f.get());
   }
 
-  // Trie over the active domain (built locally unless the provider
-  // maintains one for this revision). Null disables pruning.
-  std::shared_ptr<const DomainTrie> AdomTrie() {
-    if (adom_trie_ != nullptr) return adom_trie_;
-    if (provider_ != nullptr) {
-      adom_trie_ = provider_->AdomTrieAt(db_->revision());
-      if (adom_trie_ != nullptr) return adom_trie_;
-    }
-    Result<std::shared_ptr<const DomainTrie>> built =
-        DomainTrie::Build(db_->alphabet(), adom_);
-    if (built.ok()) adom_trie_ = *std::move(built);
-    return adom_trie_;
+  // adom(D) ∪ params, sorted; `storage` holds it unless params is empty.
+  const std::vector<std::string>& WithParams(
+      const std::set<std::string>& params, std::vector<std::string>* storage) {
+    if (params.empty()) return adom_;
+    storage->reserve(adom_.size() + params.size());
+    std::set_union(adom_.begin(), adom_.end(), params.begin(), params.end(),
+                   std::back_inserter(*storage));
+    return *storage;
   }
 
-  // Trie over prefix(adom). Null disables pruning.
-  std::shared_ptr<const DomainTrie> PrefixTrie() {
-    if (prefix_trie_ != nullptr) return prefix_trie_;
-    if (provider_ != nullptr) {
-      prefix_trie_ = provider_->PrefixTrieAt(db_->revision());
-      if (prefix_trie_ != nullptr) return prefix_trie_;
-    }
-    Result<std::shared_ptr<const DomainTrie>> built =
-        DomainTrie::Build(db_->alphabet(), PrefixClosure(adom_));
-    if (built.ok()) prefix_trie_ = *std::move(built);
-    return prefix_trie_;
-  }
-
-  // DFA-guided candidate pruning for an ∃ over adom / prefix(adom):
-  // instead of enumerating the full candidate set and testing the body on
-  // each, walk the domain trie and the guard DFAs in lockstep, cutting a
-  // subtree the moment some guard goes dead. Returns nullopt when pruning
+  // DFA-guided candidate pruning for an ∃ over adom / prefix(adom): instead
+  // of enumerating the full candidate set and testing the body on each,
+  // walk the sorted domain under the guard DFAs, cutting every string below
+  // a prefix the moment some guard goes dead. Returns nullopt when pruning
   // does not apply (∀, no guards, length/plain ranges, foreign parameter
   // characters) — the caller then falls back to full enumeration. The
   // enumerated + pruned counters always sum to the full candidate count.
@@ -268,30 +247,25 @@ class Evaluator {
       const Formula& f, const std::set<std::string>& params) {
     std::optional<std::vector<std::string>> none;
     if (f.kind != FormulaKind::kExists) return none;
-    if (f.range != QuantRange::kAdom && f.range != QuantRange::kPrefixDom) {
-      return none;
-    }
+    const bool prefixes = f.range == QuantRange::kPrefixDom;
+    if (!prefixes && f.range != QuantRange::kAdom) return none;
     std::vector<const Formula*> guards;
     CollectGuards(f.left, f.var, &guards);
     if (guards.empty()) return none;
-    std::shared_ptr<const DomainTrie> trie =
-        f.range == QuantRange::kAdom ? AdomTrie() : PrefixTrie();
-    if (trie == nullptr) return none;
-    // Parameter prefix-closures may stray outside the alphabet; fall back
-    // (the full enumeration reproduces the original error behaviour).
-    std::vector<std::string> extra;
-    if (f.range == QuantRange::kPrefixDom && !params.empty()) {
-      extra = PrefixClosure(
-          std::vector<std::string>(params.begin(), params.end()));
-      for (const std::string& s : extra) {
-        if (!db_->alphabet().Encode(s).ok()) return none;
+    std::vector<std::string> storage;
+    const std::vector<std::string>* domain = &adom_;
+    if (prefixes) {
+      // The guard DFAs reject a foreign character where the body's
+      // string-level LIKE and ~k need not: enumerate the full set instead.
+      for (const std::string& p : params) {
+        for (char c : p) {
+          if (!db_->alphabet().Contains(c)) return none;
+        }
       }
+      domain = &WithParams(params, &storage);
     }
-    std::vector<std::string> matched;
-    int64_t full = trie->size();
-    if (trie->size() > 0 || !extra.empty()) {
-      std::vector<DfaRef> refs;
-      std::vector<const Dfa*> dfas;
+    std::vector<DfaRef> dfas;
+    if (!domain->empty()) {
       for (const Formula* g : guards) {
         DfaRef lang;
         if (g->pred == PredKind::kNear) {
@@ -301,38 +275,20 @@ class Evaluator {
           STRQ_ASSIGN_OR_RETURN(lang,
                                 cache_->CompiledPattern(g->pattern, g->syntax));
         }
-        dfas.push_back(&*lang);
-        refs.push_back(std::move(lang));
-      }
-      if (trie->size() > 0) matched = trie->Matching(dfas, nullptr);
-      // The same DFAs decide the parameter-closure strings not already in
-      // the stored set; both sides are sorted, so merge preserves order.
-      std::vector<std::string> add;
-      for (const std::string& s : extra) {
-        if (trie->Contains(s)) continue;
-        ++full;
-        bool all = true;
-        for (const Dfa* d : dfas) {
-          Result<bool> acc = d->AcceptsString(db_->alphabet(), s);
-          if (!acc.ok() || !*acc) {
-            all = false;
-            break;
-          }
-        }
-        if (all) add.push_back(s);
-      }
-      if (!add.empty()) {
-        std::vector<std::string> merged;
-        merged.reserve(matched.size() + add.size());
-        std::merge(matched.begin(), matched.end(), add.begin(), add.end(),
-                   std::back_inserter(merged));
-        matched = std::move(merged);
+        dfas.push_back(std::move(lang));
       }
     }
-    obs::Count(obs::kRestrictedCandidates,
-               static_cast<int64_t>(matched.size()));
-    obs::Count(obs::kRestrictedCandidatesPruned,
-               full - static_cast<int64_t>(matched.size()));
+    const bool counting = obs::Enabled();
+    int64_t full = 0;
+    std::vector<std::string> matched =
+        WalkDomain(db_->alphabet(), *domain, dfas, prefixes,
+                   counting ? &full : nullptr);
+    if (counting) {
+      obs::Count(obs::kRestrictedCandidates,
+                 static_cast<int64_t>(matched.size()));
+      obs::Count(obs::kRestrictedCandidatesPruned,
+                 full - static_cast<int64_t>(matched.size()));
+    }
     return std::optional<std::vector<std::string>>(std::move(matched));
   }
 
@@ -356,9 +312,9 @@ class Evaluator {
       case QuantRange::kAdom:
         return adom_;
       case QuantRange::kPrefixDom: {
-        std::vector<std::string> base = adom_;
-        base.insert(base.end(), params.begin(), params.end());
-        return PrefixClosure(base);
+        std::vector<std::string> storage;
+        return WalkDomain(db_->alphabet(), WithParams(params, &storage), {},
+                          /*prefixes=*/true);
       }
       case QuantRange::kLenDom: {
         size_t max_len = 0;
@@ -435,10 +391,7 @@ class Evaluator {
   const Database* db_;
   RestrictedEvaluator::Options options_;
   AtomCache* cache_;
-  const DomainProvider* provider_;
-  std::vector<std::string> adom_;
-  std::shared_ptr<const DomainTrie> adom_trie_;
-  std::shared_ptr<const DomainTrie> prefix_trie_;
+  const std::vector<std::string>& adom_;
 };
 
 }  // namespace
@@ -464,9 +417,8 @@ Result<bool> RestrictedEvaluator::Holds(
     const FormulaPtr& f, const std::map<std::string, std::string>& assignment) {
   obs::Span span("restricted.holds");
   FormulaPtr planned = planner_->Plan(f, db_, cache_.get()).formula;
-  std::optional<std::vector<std::string>> adom = ProvidedAdom();
-  Evaluator eval(db_, options_, cache_.get(), adom ? &*adom : nullptr,
-                 domain_provider_.get());
+  const std::vector<std::string> adom = Adom();
+  Evaluator eval(db_, options_, cache_.get(), adom);
   Env env = assignment;
   return eval.Eval(planned, env);
 }
@@ -497,10 +449,8 @@ Result<Relation> RestrictedEvaluator::EvaluateOnCandidates(
   FormulaPtr planned = planner_->Plan(f, db_, cache_.get()).formula;
   int k = static_cast<int>(vars.size());
   std::vector<Tuple> out;
-  std::optional<std::vector<std::string>> adom = ProvidedAdom();
-  const std::vector<std::string>* adom_ptr = adom ? &*adom : nullptr;
-  Evaluator eval(db_, options_, cache_.get(), adom_ptr,
-                 domain_provider_.get());
+  const std::vector<std::string> adom = Adom();
+  Evaluator eval(db_, options_, cache_.get(), adom);
 
   if (candidates.empty() && k > 0) return Relation::Create(k, {});
 
@@ -523,8 +473,7 @@ Result<Relation> RestrictedEvaluator::EvaluateOnCandidates(
         parallel_.num_threads, static_cast<int>(chunks), [&](int c) {
           uint64_t lo = total * c / chunks;
           uint64_t hi = total * (c + 1) / chunks;
-          Evaluator worker(db_, options_, cache_.get(), adom_ptr,
-                           domain_provider_.get());
+          Evaluator worker(db_, options_, cache_.get(), adom);
           for (uint64_t m = lo; m < hi; ++m) {
             // Per-request deadline, polled at candidate-chunk granularity.
             if (((m - lo) & 255) == 0) {
@@ -594,9 +543,8 @@ Result<std::vector<Tuple>> RestrictedEvaluator::TopKOnCandidates(
   std::vector<std::string> vars(fv.begin(), fv.end());
   FormulaPtr planned = planner_->Plan(f, db_, cache_.get()).formula;
   int arity = static_cast<int>(vars.size());
-  std::optional<std::vector<std::string>> adom = ProvidedAdom();
-  Evaluator eval(db_, options_, cache_.get(), adom ? &*adom : nullptr,
-                 domain_provider_.get());
+  const std::vector<std::string> adom = Adom();
+  Evaluator eval(db_, options_, cache_.get(), adom);
   std::vector<Tuple> out;
   if (k == 0) return out;
   if (candidates.empty() && arity > 0) return out;
@@ -643,18 +591,16 @@ Result<std::optional<Tuple>> RestrictedEvaluator::ExistsWitnessOnCandidates(
 }
 
 std::vector<std::string> RestrictedEvaluator::PrefixDomCandidates() const {
-  if (domain_provider_ != nullptr) {
-    std::optional<std::vector<std::string>> closure =
-        domain_provider_->PrefixClosureAt(db_->revision());
-    if (closure.has_value()) return *std::move(closure);
-  }
-  return PrefixClosure(db_->ActiveDomain());
+  return WalkDomain(db_->alphabet(), Adom(), {}, /*prefixes=*/true);
 }
 
-std::optional<std::vector<std::string>> RestrictedEvaluator::ProvidedAdom()
-    const {
-  if (domain_provider_ == nullptr) return std::nullopt;
-  return domain_provider_->ActiveDomainAt(db_->revision());
+std::vector<std::string> RestrictedEvaluator::Adom() const {
+  if (domain_provider_ != nullptr) {
+    std::optional<std::vector<std::string>> adom =
+        domain_provider_->ActiveDomainAt(db_->revision());
+    if (adom.has_value()) return *std::move(adom);
+  }
+  return db_->ActiveDomain();
 }
 
 Result<std::vector<std::string>> RestrictedEvaluator::LenDomCandidates()

@@ -13,36 +13,20 @@
 #include "mta/atom_cache.h"
 #include "plan/planner.h"
 #include "relational/database.h"
-#include "relational/domain_trie.h"
 
 namespace strq {
 
-// Pluggable supplier of incrementally-maintained active-domain views for
-// Engine B. The evaluator materializes adom(D) (and its prefix closure, for
-// kPrefixDom candidate sets) on every construction; an implementation —
-// src/incr maintains both under tuple inserts/deletes — answers from its
+// Pluggable supplier of the incrementally-maintained active domain for
+// Engine B. The evaluator scans adom(D) once per request; an implementation
+// — src/incr maintains it under tuple inserts/deletes — answers from its
 // maintained state instead. Returning nullopt for a revision the provider
-// has no view of makes the evaluator fall back to recomputing from the
-// database; a non-null answer must equal that recomputation exactly
-// (sorted, deduplicated, ε included in the closure of a non-empty adom).
+// has no view of makes the evaluator fall back to the scan; a non-null
+// answer must equal that scan exactly (sorted, deduplicated).
 class DomainProvider {
  public:
   virtual ~DomainProvider() = default;
   virtual std::optional<std::vector<std::string>> ActiveDomainAt(
       int64_t revision) const = 0;
-  virtual std::optional<std::vector<std::string>> PrefixClosureAt(
-      int64_t revision) const = 0;
-  // Trie-indexed views of the same two sets, for DFA-guided candidate
-  // pruning. Null means "no maintained trie for this revision" — the
-  // evaluator then builds one locally from the flat view. A non-null trie
-  // must store exactly the strings the flat accessor returns for the same
-  // revision.
-  virtual std::shared_ptr<const DomainTrie> AdomTrieAt(int64_t) const {
-    return nullptr;
-  }
-  virtual std::shared_ptr<const DomainTrie> PrefixTrieAt(int64_t) const {
-    return nullptr;
-  }
 };
 
 // Engine B: direct evaluation of *restricted-quantifier* formulas by
@@ -102,9 +86,9 @@ class RestrictedEvaluator {
   void set_parallel_options(ParallelOptions options) { parallel_ = options; }
   const ParallelOptions& parallel_options() const { return parallel_; }
 
-  // Serves adom(D)/prefix(adom(D)) from an incrementally-maintained view
-  // (keyed on the database revision) instead of rescanning every relation.
-  // Null restores the default recomputation.
+  // Serves adom(D) from an incrementally-maintained view (keyed on the
+  // database revision) instead of rescanning every relation. Null restores
+  // the default scan.
   void set_domain_provider(std::shared_ptr<DomainProvider> provider) {
     domain_provider_ = std::move(provider);
   }
@@ -141,9 +125,9 @@ class RestrictedEvaluator {
   Result<std::vector<std::string>> LenDomCandidates() const;
 
  private:
-  // The provider's adom for the database's current revision, or nullopt
-  // (no provider, or it has no view of this revision).
-  std::optional<std::vector<std::string>> ProvidedAdom() const;
+  // adom(D) at the database's current revision: the provider's view, or a
+  // scan when there is no provider or it has no view of this revision.
+  std::vector<std::string> Adom() const;
 
   const Database* db_;
   Options options_;

@@ -10,6 +10,10 @@ namespace incr {
 
 namespace {
 
+// Cap on distinct formulas with maintained answers; the memo is cleared
+// wholesale when exceeded (entries re-seed on the next compile).
+constexpr size_t kMaxAnswerEntries = 256;
+
 std::vector<VarId> CanonicalVars(int arity) {
   std::vector<VarId> vars(static_cast<size_t>(arity));
   for (int i = 0; i < arity; ++i) vars[static_cast<size_t>(i)] = i;
@@ -38,9 +42,8 @@ bool NetEmpty(const std::vector<TupleDelta>& ops) {
 }  // namespace
 
 IncrementalIndex::IncrementalIndex(const VersionedDatabase* db,
-                                   std::shared_ptr<AtomCache> cache,
-                                   Options options)
-    : db_(db), cache_(std::move(cache)), options_(options) {}
+                                   std::shared_ptr<AtomCache> cache)
+    : db_(db), cache_(std::move(cache)) {}
 
 // ---------------------------------------------------------------------------
 // Commit subscription
@@ -107,25 +110,6 @@ std::vector<std::string> IncrementalIndex::DomKeysLocked() const {
     keys.push_back(s);  // map order: already sorted and deduplicated
   }
   return keys;
-}
-
-std::vector<std::string> IncrementalIndex::DomClosureLocked() const {
-  // One pass over the sorted keys, no sort: a key's prefixes up to its lcp
-  // with the previous key were emitted with that key, and the longer ones
-  // sort after every string emitted so far, so they append in order.
-  std::vector<std::string> closure;
-  const std::string* prev = nullptr;
-  for (const auto& [s, n] : counts_) {
-    (void)n;
-    size_t next = 0;  // shortest prefix length not yet emitted
-    if (prev != nullptr) {
-      auto diff = std::mismatch(prev->begin(), prev->end(), s.begin(), s.end());
-      next = static_cast<size_t>(diff.first - prev->begin()) + 1;
-    }
-    for (size_t i = next; i <= s.size(); ++i) closure.push_back(s.substr(0, i));
-    prev = &s;
-  }
-  return closure;
 }
 
 // ---------------------------------------------------------------------------
@@ -221,39 +205,6 @@ std::optional<std::vector<std::string>> IncrementalIndex::ActiveDomainAt(
   return DomKeysLocked();
 }
 
-std::optional<std::vector<std::string>> IncrementalIndex::PrefixClosureAt(
-    int64_t revision) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!DomAtLocked(revision)) return std::nullopt;
-  return DomClosureLocked();
-}
-
-std::shared_ptr<const DomainTrie> IncrementalIndex::AdomTrieAt(
-    int64_t revision) const {
-  return DomTrieView(revision, /*closure=*/false);
-}
-
-std::shared_ptr<const DomainTrie> IncrementalIndex::PrefixTrieAt(
-    int64_t revision) const {
-  return DomTrieView(revision, /*closure=*/true);
-}
-
-std::shared_ptr<const DomainTrie> IncrementalIndex::DomTrieView(
-    int64_t revision, bool closure) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!DomAtLocked(revision)) return nullptr;
-  std::shared_ptr<const DomainTrie>& view =
-      closure ? prefix_trie_view_ : adom_trie_view_;
-  int64_t& view_rev = closure ? prefix_trie_rev_ : adom_trie_rev_;
-  if (view_rev == revision && view != nullptr) return view;
-  Result<std::shared_ptr<const DomainTrie>> built = DomainTrie::Build(
-      cache_->alphabet(), closure ? DomClosureLocked() : DomKeysLocked());
-  if (!built.ok()) return nullptr;
-  view = *std::move(built);
-  view_rev = revision;
-  return view;
-}
-
 // ---------------------------------------------------------------------------
 // Answer maintenance
 // ---------------------------------------------------------------------------
@@ -280,7 +231,7 @@ Result<TrackAutomaton> IncrementalIndex::CompileAnswer(AutomataEvaluator& eval,
 
   auto store_entry = [&](const TrackAutomaton& answer) {
     std::lock_guard<std::mutex> lock(answers_mu_);
-    if (answers_.size() > options_.max_answer_entries) answers_.clear();
+    if (answers_.size() > kMaxAnswerEntries) answers_.clear();
     std::vector<AnswerEntry>& bucket = answers_[h];
     for (AnswerEntry& existing : bucket) {
       if (StructurallyEqual(existing.formula, f)) {

@@ -20,13 +20,6 @@
 namespace strq {
 namespace incr {
 
-// Policy knobs for the incremental index.
-struct Options {
-  // Cap on distinct formulas with maintained answers; the map is cleared
-  // wholesale when exceeded (entries re-seed on the next compile).
-  size_t max_answer_entries = 256;
-};
-
 struct Stats {
   int64_t recompiles = 0;       // trie rebuilds + answer recompiles
   int64_t unchanged_hits = 0;   // unchanged contents: old automaton reused
@@ -48,9 +41,9 @@ struct Stats {
 //    the shared AtomCache under the same "rel:<name>:<rev>" keys the
 //    compilers look up, so eviction and cross-session sharing work
 //    unchanged.
-//  * Active domain and its prefix closure (TrieProvider for Engine A's
-//    adom automaton, rebuilt from the sorted domain keys, whose
-//    PrefixClosure serves `pre adom`; DomainProvider for Engine B's
+//  * Active domain (TrieProvider for Engine A's adom automaton, rebuilt
+//    from the sorted domain keys, whose PrefixClosure serves `pre adom`;
+//    DomainProvider for Engine B, which walks the sorted keys for its
 //    candidate sets): multiplicity counts seeded from the head snapshot on
 //    first demand, kept in O(delta) by tuple commits while a consumer has
 //    asked, and dropped in O(1) by any other commit, so a commit never
@@ -73,8 +66,7 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   // `db` must outlive the index. `cache` supplies the alphabet, the store
   // and the shared trie keyspace.
   IncrementalIndex(const VersionedDatabase* db,
-                   std::shared_ptr<AtomCache> cache,
-                   Options options = Options());
+                   std::shared_ptr<AtomCache> cache);
 
   // Commit subscription (VersionedDatabase::SetCommitHook target): keeps a
   // live domain synced. Tuple commits apply in O(delta); opaque commits
@@ -89,17 +81,10 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   Result<TrackAutomaton> AdomTrie(const Database& db, VarId var) override;
 
   // --- DomainProvider (Engine B) -----------------------------------------
-  // Each accessor answers only for the head revision, seeding the domain
-  // from the head snapshot if no commit has kept it live.
+  // Answers only for the head revision, seeding the domain from the head
+  // snapshot if no commit has kept it live; sessions pinned to older
+  // snapshots get nullopt and scan their own.
   std::optional<std::vector<std::string>> ActiveDomainAt(
-      int64_t revision) const override;
-  std::optional<std::vector<std::string>> PrefixClosureAt(
-      int64_t revision) const override;
-  // Trie views over the same refcounted keys, memoized per head revision
-  // (sessions pinned to older snapshots get null and rebuild locally from
-  // their snapshot — the flat accessors degrade the same way).
-  std::shared_ptr<const DomainTrie> AdomTrieAt(int64_t revision) const override;
-  std::shared_ptr<const DomainTrie> PrefixTrieAt(
       int64_t revision) const override;
 
   // --- Answer maintenance ------------------------------------------------
@@ -112,7 +97,6 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
                                        const Database& db);
 
   Stats stats() const;
-  const Options& options() const { return options_; }
 
  private:
   // A relation's last built trie and the content revision it was built at
@@ -141,17 +125,12 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   void SeedDomLocked(const Database& db) const;
   void ApplyDomOpsLocked(const CommitDelta& delta);
   std::vector<std::string> DomKeysLocked() const;
-  std::vector<std::string> DomClosureLocked() const;
-  // The memoized head-revision trie of the domain or of its closure.
-  std::shared_ptr<const DomainTrie> DomTrieView(int64_t revision,
-                                                bool closure) const;
 
   void CountRecompile();
   void CountUnchanged();
 
   const VersionedDatabase* db_;
   std::shared_ptr<AtomCache> cache_;
-  Options options_;
 
   mutable std::mutex mu_;  // tries + domain state
   std::map<std::string, BaseState> rels_;
@@ -161,13 +140,6 @@ class IncrementalIndex : public TrieProvider, public DomainProvider {
   mutable bool dom_valid_ = false;
   mutable int64_t dom_rev_ = -1;
   mutable std::map<std::string, int64_t> counts_;
-  // Memoized head-revision trie views of the domain and its closure (mu_
-  // held; stale revisions are dropped, the tries themselves stay alive
-  // through the shared_ptrs pinned sessions already hold).
-  mutable std::shared_ptr<const DomainTrie> adom_trie_view_;
-  mutable int64_t adom_trie_rev_ = -1;
-  mutable std::shared_ptr<const DomainTrie> prefix_trie_view_;
-  mutable int64_t prefix_trie_rev_ = -1;
 
   mutable std::mutex answers_mu_;
   std::map<uint64_t, std::vector<AnswerEntry>> answers_;

@@ -35,8 +35,7 @@ QueryServer::QueryServer(Database initial, ServerOptions options)
 
 void QueryServer::InstallCommitHook() {
   if (options_.enable_incremental) {
-    incr_ = std::make_shared<incr::IncrementalIndex>(
-        &db_, cache_, options_.incremental);
+    incr_ = std::make_shared<incr::IncrementalIndex>(&db_, cache_);
   }
   // Every commit (whatever API produced it) publishes its delta to the
   // subscribed index and reclaims cache entries for snapshots the commit

@@ -56,7 +56,6 @@ struct ServerOptions {
   // disable to get the recompile-everything baseline (bench_ablation's
   // update-stream rows).
   bool enable_incremental = true;
-  incr::Options incremental;
 };
 
 // Per-session request budget template. Each request materializes it into a
@@ -114,7 +113,7 @@ class QueryServer {
   // The incremental-maintenance index subscribed to this server's commit
   // stream, or null when ServerOptions::enable_incremental is off. Also a
   // DomainProvider: wire it into a RestrictedEvaluator (Engine B) reading
-  // the head snapshot to get incrementally-maintained candidate sets.
+  // the head snapshot to get the incrementally-maintained active domain.
   const std::shared_ptr<incr::IncrementalIndex>& incremental() const {
     return incr_;
   }

@@ -66,6 +66,28 @@ TEST(RestrictedEvalTest, PrefixDomIncludesParameters) {
   EXPECT_TRUE(*v);  // y = "11111" is a prefix of the parameter
 }
 
+// A parameter with a character outside the alphabet: the guard's DFA
+// rejects it, the body's string-level LIKE and ~k do not, so the guided
+// walk must step aside and the guarded formula must read exactly as the
+// same formula without its guard (which the witness satisfies).
+TEST(RestrictedEvalTest, ForeignParameterFallsBackToFullEnumeration) {
+  Database db = BinaryDb();
+  RestrictedEvaluator eval(&db);
+  const std::map<std::string, std::string> foreign = {{"x", "02"}};
+  // y = x is spelled y <= x & x <= y, so the one witness is y = "02".
+  const char* unguarded = "exists y pre adom. (y <= x & x <= y)";
+  for (const char* guarded :
+       {"exists y pre adom. (like(y, '0_') & y <= x & x <= y)",
+        "exists y pre adom. (y ~1 '01' & y <= x & x <= y)"}) {
+    Result<bool> a = eval.Holds(Q(guarded), foreign);
+    Result<bool> b = eval.Holds(Q(unguarded), foreign);
+    ASSERT_EQ(a.ok(), b.ok()) << guarded;
+    ASSERT_TRUE(a.ok()) << guarded << ": " << a.status();
+    EXPECT_TRUE(*a) << guarded;
+    EXPECT_EQ(*a, *b) << guarded;
+  }
+}
+
 TEST(RestrictedEvalTest, LenDomQuantifier) {
   Database db = BinaryDb();
   RestrictedEvaluator eval(&db);

@@ -1,5 +1,5 @@
 // The `~k` bounded-edit-distance similarity atom: parsing, printing, both
-// engines agreeing, and the trie-guided candidate pruning it unlocks in
+// engines agreeing, and the guided candidate pruning it unlocks in
 // Engine B's quantifier scan.
 
 #include <gtest/gtest.h>
@@ -110,7 +110,7 @@ TEST(SimilarityEvalTest, EnginesAgreeOnSentences) {
 
 TEST(SimilarityEvalTest, NearGuardPrunesCandidateScan) {
   // A selective ~k guard on the quantified variable lets Engine B's
-  // DFA-guided trie scan skip most of the active domain; the enumerated +
+  // DFA-guided walk skip most of the active domain; the enumerated +
   // pruned counters must add up to the full candidate count, and the
   // answer must match the unpruned semantics.
   obs::ScopedEnable tracing(true);

@@ -1,8 +1,8 @@
 // DomainProvider staleness: the incremental index only answers for the
 // revision it currently maintains. A session pinned to an older snapshot
-// must get the nullopt/null fallback — and the candidate set it then
-// rebuilds locally from its pinned database must be byte-identical to what
-// the provider served when that revision WAS the head.
+// must get the nullopt fallback — and the domain it then scans from its
+// pinned database must be byte-identical to what the provider served when
+// that revision WAS the head.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include "eval/restricted_eval.h"
 #include "incr/incr.h"
 #include "logic/parser.h"
-#include "relational/domain_trie.h"
+#include "relational/domain_walk.h"
 #include "serve/server.h"
 
 namespace strq {
@@ -59,47 +59,31 @@ TEST(DomainStalenessTest, PinnedSnapshotFallsBackToIdenticalRebuild) {
   const std::shared_ptr<incr::IncrementalIndex>& provider =
       server.incremental();
 
-  // At head, the provider serves the pinned revision: flat views and tries,
-  // all agreeing with a fresh rebuild from the pinned database.
+  // At head, the provider serves the pinned revision, agreeing with a fresh
+  // rebuild from the pinned database.
   std::vector<std::string> rebuilt =
       ScanActiveDomain(session->snapshot().db());
   std::optional<std::vector<std::string>> served =
       provider->ActiveDomainAt(pinned_rev);
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(*served, rebuilt);
-  std::shared_ptr<const DomainTrie> served_trie =
-      provider->AdomTrieAt(pinned_rev);
-  ASSERT_NE(served_trie, nullptr);
-  EXPECT_EQ(served_trie->Matching({}, nullptr), rebuilt);
-  std::optional<std::vector<std::string>> served_prefixes =
-      provider->PrefixClosureAt(pinned_rev);
-  ASSERT_TRUE(served_prefixes.has_value());
-  std::shared_ptr<const DomainTrie> served_prefix_trie =
-      provider->PrefixTrieAt(pinned_rev);
-  ASSERT_NE(served_prefix_trie, nullptr);
-  EXPECT_EQ(served_prefix_trie->Matching({}, nullptr), *served_prefixes);
 
   // Move the head: the domain gains one string and loses another.
   Result<CommitDelta> advance =
       server.CommitDeltas({{"R", {"0111"}, true}, {"R", {"11"}, false}});
   ASSERT_TRUE(advance.ok()) << advance.status();
 
-  // The provider is now stale for the pinned revision and must say so on
-  // every accessor rather than serve the head's (different) domain.
+  // The provider is now stale for the pinned revision and must say so
+  // rather than serve the head's (different) domain.
   EXPECT_FALSE(provider->ActiveDomainAt(pinned_rev).has_value());
-  EXPECT_FALSE(provider->PrefixClosureAt(pinned_rev).has_value());
-  EXPECT_EQ(provider->AdomTrieAt(pinned_rev), nullptr);
-  EXPECT_EQ(provider->PrefixTrieAt(pinned_rev), nullptr);
 
-  // The pinned snapshot is immutable, so the local rebuild the fallback
-  // triggers produces byte-identical candidates to what the provider served
-  // before the head moved.
+  // The pinned snapshot is immutable, so the scan the fallback triggers
+  // produces byte-identical candidates to what the provider served before
+  // the head moved.
   EXPECT_EQ(ScanActiveDomain(session->snapshot().db()), *served);
-  Result<std::shared_ptr<const DomainTrie>> local = DomainTrie::Build(
-      server.alphabet(), ScanActiveDomain(session->snapshot().db()));
-  ASSERT_TRUE(local.ok()) << local.status();
-  EXPECT_EQ((*local)->Matching({}, nullptr),
-            served_trie->Matching({}, nullptr));
+  RestrictedEvaluator pinned(&session->snapshot().db());
+  pinned.set_domain_provider(provider);
+  EXPECT_EQ(pinned.PrefixDomCandidates(), PrefixClosure(*served));
 
   // And the head itself is served correctly.
   std::optional<std::vector<std::string>> head_dom =
@@ -121,8 +105,8 @@ TEST(DomainStalenessTest, StaleProviderDoesNotChangeAnswers) {
   ASSERT_TRUE(server.CommitDeltas({{"R", {"1111"}, true}}).ok());
 
   // Engine B against the pinned snapshot, with and without the (now stale)
-  // provider: the fallback rebuild must leave every answer unchanged —
-  // including the trie-guided pruned scan.
+  // provider: the fallback scan must leave every answer unchanged —
+  // including the guided, pruned walk.
   RestrictedEvaluator with_provider(&session->snapshot().db());
   with_provider.set_domain_provider(server.incremental());
   RestrictedEvaluator without_provider(&session->snapshot().db());
@@ -167,9 +151,11 @@ TEST(DomainStalenessTest, ConcurrentHeadReadersMatchTheirSnapshots) {
         DbSnapshot snap = server.versioned_db().Snapshot();
         std::vector<std::string> want = ScanActiveDomain(snap.db());
         std::optional<std::vector<std::string>> got =
-            t == 0 ? provider->ActiveDomainAt(snap.revision())
-                   : provider->PrefixClosureAt(snap.revision());
-        if (t == 1) want = PrefixClosure(want);
+            provider->ActiveDomainAt(snap.revision());
+        if (got.has_value() && t == 1) {
+          got = WalkDomain(snap.db().alphabet(), *got, {}, /*prefixes=*/true);
+          want = PrefixClosure(want);
+        }
         if (got.has_value() && *got != want) mismatches.fetch_add(1);
       }
     });

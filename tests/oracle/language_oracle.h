@@ -398,6 +398,29 @@ inline Relation Rename(const Relation& r, const std::map<int, int>& renaming) {
   return out;
 }
 
+// Whether `d`, over the letters of `sigma` in order, accepts the string
+// `s`; a character outside `sigma` rejects.
+inline bool AcceptsString(const PlainDfa& d, const std::string& sigma,
+                          const std::string& s) {
+  Word w;
+  for (char c : s) {
+    size_t at = sigma.find(c);
+    if (at == std::string::npos) return false;
+    w.push_back(static_cast<int>(at));
+  }
+  return d.Accepts(w);
+}
+
+// Every prefix of every string in `strings`, sorted and deduplicated.
+inline std::vector<std::string> AllPrefixes(
+    const std::vector<std::string>& strings) {
+  std::set<std::string> out;
+  for (const std::string& s : strings) {
+    for (size_t len = 0; len <= s.size(); ++len) out.insert(s.substr(0, len));
+  }
+  return std::vector<std::string>(out.begin(), out.end());
+}
+
 }  // namespace strq::oracle
 
 #endif  // STRQ_TESTS_ORACLE_LANGUAGE_ORACLE_H_
