@@ -12,8 +12,8 @@
 //      off, per rule in isolation (miniscoping, reordering), and all on;
 //   6. incremental maintenance under an update stream: the same sequence
 //      of tuple-delta commits replayed against a server with the src/incr
-//      index on (relation tries kept across revisions) vs off (full
-//      recompile from every new snapshot), gated on per-step answer
+//      answer memo on (answers memoized per revision) vs off (every
+//      answer recompiled from each new snapshot), gated on per-step answer
 //      counts, canonical store ids and safety verdicts being identical
 //      streams. Untimed: perfbench owns wall-clock comparisons.
 
@@ -339,12 +339,12 @@ int Run(int argc, char** argv) {
   // --- 6. Incremental maintenance under an update stream -----------------
   // Precompute one stream of tuple-delta batches (append-only steps, then
   // mixed insert/delete steps), then replay it twice: once against a
-  // server whose IncrementalIndex keeps relation tries across revisions
-  // (rebuilding only a relation whose contents moved) and memoizes answers
-  // per revision, once against a server that recompiles everything from
-  // each new snapshot. The per-step answer counts, canonical intern ids and
-  // finiteness verdicts must be identical streams across arms: the index
-  // is only an optimization if nobody can tell. Nothing here is timed;
+  // server whose IncrementalIndex memoizes answers per revision, once
+  // against a server that recompiles every answer from each new snapshot
+  // (both reuse relation tries keyed by content revision). The per-step
+  // answer counts, canonical intern ids and finiteness verdicts must be
+  // identical streams across arms: the memo is only an optimization if
+  // nobody can tell. Nothing here is timed;
   // perfbench's update_stream workload owns the wall-clock comparison.
   {
     const uint64_t kSeed = 20260809;

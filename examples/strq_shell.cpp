@@ -220,8 +220,8 @@ class Shell {
       Printf(out,
              "  update <rel> +t -t ...: batch tuple writes committed as ONE "
              "revision (+ inserts, - deletes; fields comma-separated, '' = "
-             "ε); the published delta patches cached automata incrementally "
-             "(docs/INCREMENTAL.md)\n");
+             "ε); only the changed relation's trie is rebuilt, and answers "
+             "are memoized per revision (docs/INCREMENTAL.md)\n");
       Printf(out,
              "  explain (or \\explain) <formula>: compile with tracing on "
              "and print the chosen plan\n"

@@ -53,13 +53,11 @@ class Compiler {
  public:
   Compiler(const Database* db, AtomCache* cache,
            ParallelOptions parallel = ParallelOptions{1},
-           const std::unordered_set<const Formula*>* parallel_folds = nullptr,
-           TrieProvider* provider = nullptr)
+           const std::unordered_set<const Formula*>* parallel_folds = nullptr)
       : db_(db),
         cache_(cache),
         parallel_(parallel),
-        parallel_folds_(parallel_folds),
-        provider_(provider) {}
+        parallel_folds_(parallel_folds) {}
 
   Result<TrackAutomaton> CompileQuery(const FormulaPtr& f) {
     return CompileQuery(f, AutomataEvaluator::FreeVarOrder(f));
@@ -82,8 +80,6 @@ class Compiler {
   const Alphabet& alphabet() const { return db_->alphabet(); }
 
   VarId Fresh() { return next_var_++; }
-
-  std::string Rev() const { return std::to_string(db_->revision()); }
 
   // ---- Term resolution --------------------------------------------------
 
@@ -273,28 +269,25 @@ class Compiler {
     std::vector<VarId> aux;
     STRQ_ASSIGN_OR_RETURN(std::vector<VarId> ids,
                           ResolveArgs(f.args, &defs, &aux));
-    if (provider_ != nullptr) {
-      STRQ_ASSIGN_OR_RETURN(TrackAutomaton atom,
-                            provider_->RelationTrie(*db_, f.relation, ids));
-      return FinishAtom(std::move(atom), std::move(defs), aux);
-    }
-    // The trie is cached per (relation, database revision); the supplier
-    // only runs on the first compilation of this relation's contents.
-    STRQ_ASSIGN_OR_RETURN(
-        TrackAutomaton atom,
-        cache_->TableTrie("rel:" + f.relation + ":" + Rev(), ids,
-                          [rel] { return rel->tuples(); }));
+    // The trie depends on the relation's tuples alone, so it is cached per
+    // (relation, content revision): commits to other relations, opaque
+    // ones included, keep hitting the same entry.
+    const std::string key = "rel:" + f.relation + ":" +
+                            std::to_string(db_->RelationRevision(f.relation));
+    STRQ_ASSIGN_OR_RETURN(TrackAutomaton atom,
+                          cache_->TableTrie(key, ids, rel->tuples()));
     return FinishAtom(std::move(atom), std::move(defs), aux);
   }
 
   Result<TrackAutomaton> AdomAutomaton(VarId v) {
-    if (provider_ != nullptr) return provider_->AdomTrie(*db_, v);
+    // Keyed on the database revision: any commit may change adom(D).
     const Database* db = db_;
-    return cache_->TableTrie("adom:" + Rev(), {v}, [db] {
-      std::vector<std::vector<std::string>> tuples;
-      for (const std::string& s : db->ActiveDomain()) tuples.push_back({s});
-      return tuples;
-    });
+    return cache_->TableTrie(
+        "adom:" + std::to_string(db->revision()), {v}, [db] {
+          std::vector<std::vector<std::string>> tuples;
+          for (const std::string& s : db->ActiveDomain()) tuples.push_back({s});
+          return tuples;
+        });
   }
 
   // ---- Quantifier ranges --------------------------------------------------
@@ -592,7 +585,6 @@ class Compiler {
   AtomCache* cache_;
   ParallelOptions parallel_;
   const std::unordered_set<const Formula*>* parallel_folds_;
-  TrieProvider* provider_ = nullptr;
   std::map<std::string, VarId> scope_;
   int next_var_ = 0;
 };
@@ -658,7 +650,7 @@ Result<TrackAutomaton> AutomataEvaluator::Compile(
   // answer automaton is over exactly the tracks the formula constrains; for
   // evaluation we cylindrify to all free variables below.
   Compiler compiler(db_, cache_.get(), parallel_,
-                    planned.parallel_folds.get(), trie_provider_.get());
+                    planned.parallel_folds.get());
   STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel,
                         compiler.CompileQuery(to_compile, order));
   // Ensure every free variable has a track (x may not occur in any atom).
@@ -752,7 +744,7 @@ Result<lazy::LazyProduct> AutomataEvaluator::CompileLazy(
   std::vector<DfaRef> leaves;
   for (const FormulaPtr& leaf : leaf_formulas) {
     Compiler compiler(db_, cache_.get(), parallel_,
-                      planned.parallel_folds.get(), trie_provider_.get());
+                      planned.parallel_folds.get());
     STRQ_ASSIGN_OR_RETURN(TrackAutomaton rel,
                           compiler.CompileQuery(leaf, order));
     if (rel.vars() != want) {

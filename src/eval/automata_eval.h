@@ -19,29 +19,6 @@
 
 namespace strq {
 
-// Pluggable supplier of the database-contents automata Engine A's compiler
-// needs: relation table-tries and the active-domain automaton (the
-// prefix-closure range of `pre adom` is TrackAutomaton::PrefixClosure of the
-// latter, so it needs no supplier of its own). The default (no provider)
-// path builds them from tuples through the AtomCache, keyed on the database
-// revision. The incremental-maintenance index (src/incr) implements this
-// interface by reusing a prior revision's automaton for every relation
-// whose contents did not change, rebuilding only the others.
-//
-// Contract: the returned automaton must be over exactly `vars` (pairwise
-// distinct, as handed in by the compiler) and its language must equal what
-// the default build would produce for `db`'s current contents — store
-// interning then guarantees the canonical id is identical either way, which
-// is what keeps answers and store ids invariant across reuse vs rebuild.
-class TrieProvider {
- public:
-  virtual ~TrieProvider() = default;
-  virtual Result<TrackAutomaton> RelationTrie(const Database& db,
-                                              const std::string& name,
-                                              const std::vector<VarId>& vars) = 0;
-  virtual Result<TrackAutomaton> AdomTrie(const Database& db, VarId var) = 0;
-};
-
 // Engine A: exact natural-semantics evaluation of RC(SC, M) queries by
 // compilation to multi-track automata.
 //
@@ -98,16 +75,6 @@ class AutomataEvaluator {
   // complete under parallel compilation.
   void set_parallel_options(ParallelOptions options) { parallel_ = options; }
   const ParallelOptions& parallel_options() const { return parallel_; }
-
-  // Routes the compiler's database-contents automata (relation tries, adom)
-  // through `provider` instead of the default FromTuples-via-AtomCache path.
-  // Null restores the default. The provider must outlive every Compile call.
-  void set_trie_provider(std::shared_ptr<TrieProvider> provider) {
-    trie_provider_ = std::move(provider);
-  }
-  const std::shared_ptr<TrieProvider>& trie_provider() const {
-    return trie_provider_;
-  }
 
   // Compiles φ to its answer automaton over free(φ). Track order equals the
   // lexicographic order of the free-variable names (see FreeVarOrder).
@@ -176,7 +143,6 @@ class AutomataEvaluator {
   const Database* db_;
   std::shared_ptr<AtomCache> cache_;
   std::shared_ptr<plan::Planner> planner_;
-  std::shared_ptr<TrieProvider> trie_provider_;
   ParallelOptions parallel_;
 };
 

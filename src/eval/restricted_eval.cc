@@ -417,7 +417,7 @@ Result<bool> RestrictedEvaluator::Holds(
     const FormulaPtr& f, const std::map<std::string, std::string>& assignment) {
   obs::Span span("restricted.holds");
   FormulaPtr planned = planner_->Plan(f, db_, cache_.get()).formula;
-  const std::vector<std::string> adom = Adom();
+  const std::vector<std::string> adom = db_->ActiveDomain();
   Evaluator eval(db_, options_, cache_.get(), adom);
   Env env = assignment;
   return eval.Eval(planned, env);
@@ -449,7 +449,7 @@ Result<Relation> RestrictedEvaluator::EvaluateOnCandidates(
   FormulaPtr planned = planner_->Plan(f, db_, cache_.get()).formula;
   int k = static_cast<int>(vars.size());
   std::vector<Tuple> out;
-  const std::vector<std::string> adom = Adom();
+  const std::vector<std::string> adom = db_->ActiveDomain();
   Evaluator eval(db_, options_, cache_.get(), adom);
 
   if (candidates.empty() && k > 0) return Relation::Create(k, {});
@@ -543,7 +543,7 @@ Result<std::vector<Tuple>> RestrictedEvaluator::TopKOnCandidates(
   std::vector<std::string> vars(fv.begin(), fv.end());
   FormulaPtr planned = planner_->Plan(f, db_, cache_.get()).formula;
   int arity = static_cast<int>(vars.size());
-  const std::vector<std::string> adom = Adom();
+  const std::vector<std::string> adom = db_->ActiveDomain();
   Evaluator eval(db_, options_, cache_.get(), adom);
   std::vector<Tuple> out;
   if (k == 0) return out;
@@ -591,16 +591,8 @@ Result<std::optional<Tuple>> RestrictedEvaluator::ExistsWitnessOnCandidates(
 }
 
 std::vector<std::string> RestrictedEvaluator::PrefixDomCandidates() const {
-  return WalkDomain(db_->alphabet(), Adom(), {}, /*prefixes=*/true);
-}
-
-std::vector<std::string> RestrictedEvaluator::Adom() const {
-  if (domain_provider_ != nullptr) {
-    std::optional<std::vector<std::string>> adom =
-        domain_provider_->ActiveDomainAt(db_->revision());
-    if (adom.has_value()) return *std::move(adom);
-  }
-  return db_->ActiveDomain();
+  return WalkDomain(db_->alphabet(), db_->ActiveDomain(), {},
+                    /*prefixes=*/true);
 }
 
 Result<std::vector<std::string>> RestrictedEvaluator::LenDomCandidates()

@@ -16,19 +16,6 @@
 
 namespace strq {
 
-// Pluggable supplier of the incrementally-maintained active domain for
-// Engine B. The evaluator scans adom(D) once per request; an implementation
-// — src/incr maintains it under tuple inserts/deletes — answers from its
-// maintained state instead. Returning nullopt for a revision the provider
-// has no view of makes the evaluator fall back to the scan; a non-null
-// answer must equal that scan exactly (sorted, deduplicated).
-class DomainProvider {
- public:
-  virtual ~DomainProvider() = default;
-  virtual std::optional<std::vector<std::string>> ActiveDomainAt(
-      int64_t revision) const = 0;
-};
-
 // Engine B: direct evaluation of *restricted-quantifier* formulas by
 // enumeration, with no automata. This is the evaluation strategy behind the
 // paper's collapse results:
@@ -86,13 +73,6 @@ class RestrictedEvaluator {
   void set_parallel_options(ParallelOptions options) { parallel_ = options; }
   const ParallelOptions& parallel_options() const { return parallel_; }
 
-  // Serves adom(D) from an incrementally-maintained view (keyed on the
-  // database revision) instead of rescanning every relation. Null restores
-  // the default scan.
-  void set_domain_provider(std::shared_ptr<DomainProvider> provider) {
-    domain_provider_ = std::move(provider);
-  }
-
   // Truth of a formula under the given assignment of its free variables.
   Result<bool> Holds(const FormulaPtr& f,
                      const std::map<std::string, std::string>& assignment);
@@ -125,15 +105,10 @@ class RestrictedEvaluator {
   Result<std::vector<std::string>> LenDomCandidates() const;
 
  private:
-  // adom(D) at the database's current revision: the provider's view, or a
-  // scan when there is no provider or it has no view of this revision.
-  std::vector<std::string> Adom() const;
-
   const Database* db_;
   Options options_;
   std::shared_ptr<AtomCache> cache_;
   std::shared_ptr<plan::Planner> planner_;
-  std::shared_ptr<DomainProvider> domain_provider_;
   ParallelOptions parallel_;
 };
 

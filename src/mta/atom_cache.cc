@@ -1,5 +1,8 @@
 #include "mta/atom_cache.h"
 
+#include <algorithm>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "automata/levenshtein.h"
@@ -288,18 +291,22 @@ std::optional<DfaRef> AtomCache::PeekPattern(const std::string& pattern,
 
 Result<TrackAutomaton> AtomCache::TableTrie(
     const std::string& key, const std::vector<VarId>& vars,
+    const std::vector<std::vector<std::string>>& tuples) {
+  std::vector<VarId> canonical(vars.size());
+  for (int i = 0; i < static_cast<int>(vars.size()); ++i) canonical[i] = i;
+  return Cached("trie:" + key, vars, [this, &canonical, &tuples] {
+    return TrackAutomaton::FromTuples(*store_, alphabet_, canonical, tuples);
+  });
+}
+
+Result<TrackAutomaton> AtomCache::TableTrie(
+    const std::string& key, const std::vector<VarId>& vars,
     const std::function<std::vector<std::vector<std::string>>()>& tuples) {
   std::vector<VarId> canonical(vars.size());
   for (int i = 0; i < static_cast<int>(vars.size()); ++i) canonical[i] = i;
   return Cached("trie:" + key, vars, [this, &canonical, &tuples] {
     return TrackAutomaton::FromTuples(*store_, alphabet_, canonical, tuples());
   });
-}
-
-Result<TrackAutomaton> AtomCache::CachedTrie(
-    const std::string& key, const std::vector<VarId>& vars,
-    const std::function<Result<TrackAutomaton>()>& build) {
-  return Cached("trie:" + key, vars, build);
 }
 
 namespace {
@@ -321,24 +328,68 @@ bool TrieRevisionOf(const std::string& key, int64_t* rev) {
   return true;
 }
 
+constexpr char kRelTriePrefix[] = "trie:rel:";
+
 }  // namespace
 
 size_t AtomCache::EvictRevisionEntries(
-    const std::function<bool(int64_t)>& is_live) {
+    const std::vector<int64_t>& live,
+    const std::map<std::string, int64_t>& head_stamps) {
+  auto live_in = [&live](int64_t lo, int64_t hi) {
+    return std::any_of(live.begin(), live.end(),
+                       [&](int64_t r) { return lo <= r && r < hi; });
+  };
+  using Entry = std::map<std::string, TrackAutomaton>::iterator;
+  const size_t prefix = sizeof(kRelTriePrefix) - 1;
   size_t evicted = 0;
   int64_t released = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = atoms_.begin(); it != atoms_.end();) {
-      int64_t rev = 0;
-      if (TrieRevisionOf(it->first, &rev) && !is_live(rev)) {
-        released += kAtomEntryBytes + static_cast<int64_t>(it->first.size());
-        it = atoms_.erase(it);
-        ++evicted;
-      } else {
-        ++it;
+    std::vector<Entry> dead;
+    // One relation's tries as (stamp, entry). Keys sort by name first, so
+    // each relation's tries are adjacent in atoms_ (were a group split, each
+    // part would only see a later s_next, which keeps more).
+    std::vector<std::pair<int64_t, Entry>> group;
+    std::string_view group_name;
+    auto flush_group = [&] {
+      if (group.empty()) return;
+      std::sort(group.begin(), group.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      auto at_head = head_stamps.find(std::string(group_name));
+      const int64_t head = at_head != head_stamps.end() ? at_head->second : -1;
+      for (size_t i = 0; i < group.size(); ++i) {
+        const int64_t s = group[i].first;
+        if (s == head) continue;
+        const int64_t hi = i + 1 < group.size() ? group[i + 1].first
+                           : head > s          ? head
+                                        : std::numeric_limits<int64_t>::max();
+        if (!live_in(s, hi)) dead.push_back(group[i].second);
       }
+      group.clear();
+    };
+    // Revision-keyed entries all start with "trie:": one key range.
+    for (auto it = atoms_.lower_bound("trie:");
+         it != atoms_.end() && it->first.compare(0, 5, "trie:") == 0; ++it) {
+      int64_t rev = 0;
+      if (!TrieRevisionOf(it->first, &rev)) continue;
+      const std::string_view key = it->first;
+      if (key.substr(0, prefix) != kRelTriePrefix) {
+        if (!live_in(rev, rev + 1)) dead.push_back(it);
+        continue;
+      }
+      const std::string_view name = key.substr(prefix, key.rfind(':') - prefix);
+      if (name != group_name) {
+        flush_group();
+        group_name = name;
+      }
+      group.emplace_back(rev, it);
     }
+    flush_group();
+    for (Entry it : dead) {
+      released += kAtomEntryBytes + static_cast<int64_t>(it->first.size());
+      atoms_.erase(it);
+    }
+    evicted = dead.size();
     stats_.bytes -= released;
     stats_.evictions += static_cast<int64_t>(evicted);
   }

@@ -111,34 +111,32 @@ class AtomCache {
   // single-flight pattern cache as CompiledPattern.
   Result<DfaRef> CompiledNear(const std::string& word, int max_edits);
 
-  // A finite relation given extensionally (database tables, active-domain
-  // and prefix-domain automata). `key` must identify the *content* — the
-  // evaluators use "rel:<name>:<revision>" style keys, where revisions are
-  // process-unique — so the supplier is only invoked on the first miss.
+  // A finite relation given extensionally (a database table, the
+  // active-domain automaton). `key` must identify the *content*: the
+  // evaluators use "rel:<name>:<content revision>" and "adom:<revision>",
+  // where revisions are process-unique. The tuples are only read on the
+  // first miss; the supplier form only materializes them then.
+  Result<TrackAutomaton> TableTrie(
+      const std::string& key, const std::vector<VarId>& vars,
+      const std::vector<std::vector<std::string>>& tuples);
   Result<TrackAutomaton> TableTrie(
       const std::string& key, const std::vector<VarId>& vars,
       const std::function<std::vector<std::vector<std::string>>()>& tuples);
 
-  // TableTrie with an arbitrary builder: same keyspace ("rel:<name>:<rev>"
-  // style, so EvictRevisionEntries reclaims these entries too) and the same
-  // single-flight miss path, but the automaton comes from `build` instead
-  // of the supplier's tuples. The incremental index (src/incr) uses this to
-  // install a prior revision's trie, when the relation did not change,
-  // under the key the compilers will look up for the new revision. `build`
-  // must produce canonical variables 0..k-1 with the same language a
-  // FromTuples rebuild would; store interning then guarantees the entry is
-  // bit-identical (same canonical id) to a rebuilt one.
-  Result<TrackAutomaton> CachedTrie(
-      const std::string& key, const std::vector<VarId>& vars,
-      const std::function<Result<TrackAutomaton>()>& build);
-
-  // Drops every revision-keyed entry ("trie:…:<revision>" — database
-  // relations, active-domain and prefix-domain automata) whose revision the
-  // predicate reports as dead, refunding its bytes. Revision-free entries
-  // (pure atoms, patterns) are content-addressed and never evicted. Returns
-  // the number of entries dropped. The serving layer calls this after a
-  // snapshot's last pin is released.
-  size_t EvictRevisionEntries(const std::function<bool(int64_t)>& is_live);
+  // Drops every table trie no live snapshot can read, refunding its bytes,
+  // and returns how many were dropped. `live` lists the live database
+  // revisions (VersionedDatabase::LiveRevisions), `head_stamps` maps each
+  // relation of the head to its RelationRevision. A relation trie
+  // "trie:rel:<name>:<s>" stays while s is the head's stamp or some live
+  // revision lies in [s, s_next), where s_next is the next newer stamp of
+  // <name> held here, else the head's: every revision that reads <name> at
+  // stamp s lies in that range. Any other "trie:…:<revision>" entry (the
+  // adom automaton) stays while its revision is live. Content-addressed
+  // entries (pure atoms, patterns) are never evicted. The serving layer
+  // calls this after a snapshot's last pin is released.
+  size_t EvictRevisionEntries(
+      const std::vector<int64_t>& live,
+      const std::map<std::string, int64_t>& head_stamps);
 
   Stats stats() const;
   size_t size() const;

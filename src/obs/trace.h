@@ -173,21 +173,17 @@ inline constexpr char kServeAdmissionRejects[] = "serve.admission_rejects";
 inline constexpr char kServeInflightDedupHits[] = "serve.inflight_dedup_hits";
 inline constexpr char kServeSnapshotsReclaimed[] = "serve.snapshots_reclaimed";
 inline constexpr char kServeBudgetRejects[] = "serve.budget_rejects";
-// Incremental-maintenance counters (src/incr): recompiles (trie rebuilds
-// of a changed relation or a new revision's adom, answer recompiles after a
-// change) and unchanged hits (a relation trie or answer reused as-is).
-// Tries are no longer patched, so nothing increments incr.patches or
-// incr.compactions; they stay because perfbench reports them (always 0).
+// Incremental-maintenance counters (src/incr), answer memo only: recompiles
+// (an answer recompiled past its memo's revision) and unchanged hits (an
+// answer reused over a net-empty delta window). Relation-trie reuse shows
+// as atom_cache hits. Nothing increments incr.patches or incr.compactions;
+// they stay because perfbench reports them (always 0).
 inline constexpr char kIncrPatches[] = "incr.patches";
 inline constexpr char kIncrRecompiles[] = "incr.recompiles";
 inline constexpr char kIncrCompactions[] = "incr.compactions";
 inline constexpr char kIncrUnchangedHits[] = "incr.unchanged_hits";
-// Active-domain seeds: the index builds its domain counts from the head
-// snapshot only when a domain consumer asks and no commit kept it live.
-inline constexpr char kIncrDomSeeds[] = "incr.dom_seeds";
-// Answer-level patches. Answers are recompiled over the maintained tries,
-// never patched, so nothing increments this; it stays because perfbench
-// reports it (always 0).
+// Answer-level patches. Answers are recompiled, never patched, so nothing
+// increments this; it stays because perfbench reports it (always 0).
 inline constexpr char kIncrAnswerPatches[] = "incr.answer_patches";
 // MVCC snapshot surface: cache entries reclaimed when a snapshot's last pin
 // died (same event as serve.snapshots_reclaimed, counted in entries).

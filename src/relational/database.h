@@ -79,6 +79,10 @@ class Database {
   // them, and no-op writes leave them, so an unchanged stamp means unchanged
   // contents: automata built for a relation survive commits to the others.
   int64_t RelationRevision(const std::string& name) const;
+  // Every relation's content revision, by name.
+  const std::map<std::string, int64_t>& relation_revisions() const {
+    return relation_revisions_;
+  }
 
   const std::map<std::string, Relation>& relations() const {
     return relations_;
@@ -91,11 +95,11 @@ class Database {
   size_t MaxAdomLength() const;
 
   // Content revision: 0 for an empty database, otherwise a process-unique
-  // value bumped on every AddRelation and every effective tuple write. Caches key compiled table/adom
-  // automata on "<name>:<revision>" so entries for stale contents are
-  // simply never looked up again (revisions are never reused, so keys
-  // cannot alias — copies of a database share the revision of the content
-  // they share).
+  // value bumped on every AddRelation and every effective tuple write.
+  // Caches key the adom automaton on it (and relation tries on
+  // RelationRevision), so entries for stale contents are simply never
+  // looked up again (revisions are never reused, so keys cannot alias —
+  // copies of a database share the revision of the content they share).
   int64_t revision() const { return revision_; }
 
  private:

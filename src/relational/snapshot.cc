@@ -5,11 +5,13 @@
 namespace strq {
 
 VersionedDatabase::VersionedDatabase(Alphabet alphabet)
-    : head_(std::make_shared<const Database>(std::move(alphabet))),
+    : alphabet_(alphabet),
+      head_(std::make_shared<const Database>(std::move(alphabet))),
       pins_(std::make_shared<PinTable>()) {}
 
 VersionedDatabase::VersionedDatabase(Database initial)
-    : head_(std::make_shared<const Database>(std::move(initial))),
+    : alphabet_(initial.alphabet()),
+      head_(std::make_shared<const Database>(std::move(initial))),
       pins_(std::make_shared<PinTable>()) {}
 
 DbSnapshot VersionedDatabase::Snapshot() const {

@@ -45,10 +45,11 @@ struct CommitDelta {
 //
 // The snapshot is also a PIN: for as long as any copy of it is alive, its
 // revision is reported live by the owning VersionedDatabase, which the
-// serving layer uses to retain AutomatonStore/AtomCache entries keyed on
-// that revision ("rel:<name>:<rev>", "adom:<rev>", …) and to reclaim them
-// only once the last pin dies. Copying a snapshot is two shared_ptr bumps;
-// snapshots may outlive the VersionedDatabase that issued them.
+// serving layer uses to retain the AtomCache entries it reads (its
+// "adom:<rev>" automaton, "rel:<name>:<stamp>" tries at its relations'
+// content revisions) and to reclaim them only once the last pin dies.
+// Copying a snapshot is two shared_ptr bumps; snapshots may outlive the
+// VersionedDatabase that issued them.
 class DbSnapshot {
  public:
   DbSnapshot() = default;
@@ -95,7 +96,8 @@ class VersionedDatabase {
   VersionedDatabase(const VersionedDatabase&) = delete;
   VersionedDatabase& operator=(const VersionedDatabase&) = delete;
 
-  const Alphabet& alphabet() const { return head_->alphabet(); }
+  // Fixed at construction: every commit keeps the head's alphabet.
+  const Alphabet& alphabet() const { return alphabet_; }
 
   // The current head, pinned. Never blocks on a writer's copy/mutate work.
   DbSnapshot Snapshot() const;
@@ -153,6 +155,7 @@ class VersionedDatabase {
   // the bounded delta log and fires the commit hook.
   void Publish(CommitDelta delta);
 
+  const Alphabet alphabet_;
   mutable std::mutex mu_;        // guards the head_ pointer swap
   std::mutex write_mu_;          // serializes writers
   std::shared_ptr<const Database> head_;

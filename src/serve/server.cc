@@ -35,16 +35,11 @@ QueryServer::QueryServer(Database initial, ServerOptions options)
 
 void QueryServer::InstallCommitHook() {
   if (options_.enable_incremental) {
-    incr_ = std::make_shared<incr::IncrementalIndex>(&db_, cache_);
+    incr_ = std::make_shared<incr::IncrementalIndex>(&db_);
   }
-  // Every commit (whatever API produced it) publishes its delta to the
-  // subscribed index and reclaims cache entries for snapshots the commit
-  // just orphaned. The hook runs under the writer lock, so the index sees
-  // commits in revision order.
-  db_.SetCommitHook([this](const CommitDelta& delta) {
-    if (incr_ != nullptr) incr_->OnCommit(delta);
-    ReclaimDeadSnapshots();
-  });
+  // Every commit (whatever API produced it) reclaims the cache entries
+  // that only snapshots it just orphaned could read.
+  db_.SetCommitHook([this](const CommitDelta&) { ReclaimDeadSnapshots(); });
 }
 
 QueryServer::~QueryServer() { db_.SetCommitHook(nullptr); }
@@ -113,9 +108,9 @@ Result<TrackAutomaton> QueryServer::CompileShared(Session& session,
   auto outcome = inflight_.Do(key, [&] {
     CompiledEntry entry;
     entry.formula = f;
-    // The leader routes through the incremental index: the answer is
-    // reused when its revision or a net-empty delta window allows,
-    // recompiled over the maintained tries otherwise.
+    // The leader routes through the answer memo: the answer is reused when
+    // its revision or a net-empty delta window allows, recompiled
+    // otherwise.
     entry.result = incr_ != nullptr ? incr_->CompileAnswer(eval, f, *db)
                                     : eval.Compile(f);
     return entry;
@@ -142,8 +137,11 @@ Result<TrackAutomaton> QueryServer::CompileShared(Session& session,
 }
 
 size_t QueryServer::ReclaimDeadSnapshots() {
+  // Pin the head before listing live revisions: a revision pinned later is
+  // no older than this head, so it reads no stamp older than the head's.
+  DbSnapshot head = db_.Snapshot();
   size_t evicted = cache_->EvictRevisionEntries(
-      [this](int64_t rev) { return db_.IsLive(rev); });
+      db_.LiveRevisions(), head.db().relation_revisions());
   if (evicted > 0) {
     entries_reclaimed_.fetch_add(static_cast<int64_t>(evicted),
                                  std::memory_order_relaxed);
@@ -175,10 +173,6 @@ void Session::Refresh() {
   eval_ = std::make_unique<AutomataEvaluator>(
       &snapshot_.db(), server_->atom_cache(), server_->planner());
   eval_->set_parallel_options(parallel_);
-  // Relation/adom/prefix automata come from the incremental index (which
-  // keeps unchanged relations' tries across revisions) when the server
-  // maintains one.
-  eval_->set_trie_provider(server_->incremental());
 }
 
 void Session::set_parallel_options(ParallelOptions options) {

@@ -50,11 +50,12 @@ struct ServerOptions {
   int max_queued = -1;
   // Planner options for the shared planner (plan cache included).
   plan::PlannerOptions planner;
-  // Incremental maintenance (src/incr): subscribe an IncrementalIndex to
-  // the commit stream, keep each relation's table trie across revisions
-  // until that relation changes, and memoize answers per revision. Answers and canonical store ids are identical either way;
-  // disable to get the recompile-everything baseline (bench_ablation's
-  // update-stream rows).
+  // Incremental maintenance (src/incr): memoize each materialized answer
+  // per revision and reuse it across net-empty delta windows. Answers and
+  // canonical store ids are identical either way; disable to get the
+  // recompile-every-answer baseline (bench_ablation's update-stream rows).
+  // Relation tries are reused across revisions either way: the AtomCache
+  // keys them on the relation's content revision.
   bool enable_incremental = true;
 };
 
@@ -110,30 +111,28 @@ class QueryServer {
   const std::shared_ptr<AtomCache>& atom_cache() const { return cache_; }
   const std::shared_ptr<plan::Planner>& planner() const { return planner_; }
 
-  // The incremental-maintenance index subscribed to this server's commit
-  // stream, or null when ServerOptions::enable_incremental is off. Also a
-  // DomainProvider: wire it into a RestrictedEvaluator (Engine B) reading
-  // the head snapshot to get the incrementally-maintained active domain.
+  // The per-revision answer memo, or null when
+  // ServerOptions::enable_incremental is off.
   const std::shared_ptr<incr::IncrementalIndex>& incremental() const {
     return incr_;
   }
 
-  // Applies a batch of tuple writes as ONE commit (one revision edge) and
-  // publishes the delta to the subscribed index; dead-snapshot cache
-  // entries are reclaimed on the same edge. Open sessions keep their pinned
-  // snapshots until they Refresh().
+  // Applies a batch of tuple writes as ONE commit (one revision edge);
+  // dead-snapshot cache entries are reclaimed on the same edge. Open
+  // sessions keep their pinned snapshots until they Refresh().
   Result<CommitDelta> CommitDeltas(const std::vector<TupleDelta>& ops);
 
   // Opens a session pinned at the current head revision.
   std::unique_ptr<Session> OpenSession();
 
-  // Drops revision-keyed cache entries (table tries, adom/prefix-domain
-  // automata) whose revision is neither the head nor pinned by any live
-  // snapshot. Returns the number of entries dropped. Cheap to call after
-  // every commit or on a timer; entries for live snapshots are never
-  // touched. (Plan-cache entries for dead revisions are retained — their
-  // keys are opaque hashes — but are never hit again; ClearCache() on the
-  // planner is the blunt instrument if needed.)
+  // Drops the table tries (relation tries, adom automata) that neither the
+  // head nor any snapshot pinned by a live session can read (see
+  // AtomCache::EvictRevisionEntries). Returns the number of entries
+  // dropped. Cheap to call after every commit or on a timer; entries a live
+  // snapshot reads are never touched. (Plan-cache entries for dead
+  // revisions are retained — their keys are opaque hashes — but are never
+  // hit again; ClearCache() on the planner is the blunt instrument if
+  // needed.)
   size_t ReclaimDeadSnapshots();
 
   struct Stats {
@@ -172,8 +171,8 @@ class QueryServer {
     QueryServer* server_ = nullptr;
   };
 
-  // Builds the incremental index (when enabled) and registers the commit
-  // hook that feeds it and reclaims dead-snapshot cache entries.
+  // Builds the answer memo (when enabled) and registers the commit hook
+  // that reclaims dead-snapshot cache entries.
   void InstallCommitHook();
 
   // Blocks until a slot frees up (or `deadline`, when the request has one;

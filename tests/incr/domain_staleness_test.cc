@@ -1,14 +1,13 @@
-// DomainProvider staleness: the incremental index only answers for the
-// revision it currently maintains. A session pinned to an older snapshot
-// must get the nullopt fallback — and the domain it then scans from its
-// pinned database must be byte-identical to what the provider served when
-// that revision WAS the head.
+// Domain staleness: Engine B reads adom(D) from the database it is bound
+// to. A session pinned to an older snapshot must keep seeing that
+// snapshot's domain, byte-identical to a fresh scan of it, however far the
+// head moves; readers of the head must see exactly their own snapshot's
+// domain while a writer commits.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,9 +15,7 @@
 
 #include "base/string_ops.h"
 #include "eval/restricted_eval.h"
-#include "incr/incr.h"
 #include "logic/parser.h"
-#include "relational/domain_walk.h"
 #include "serve/server.h"
 
 namespace strq {
@@ -31,7 +28,7 @@ FormulaPtr Q(const std::string& input) {
 }
 
 // Fresh rebuild of adom(D): the sorted, deduplicated set of strings in any
-// relation — exactly what the provider's flat accessor must serve.
+// relation.
 std::vector<std::string> ScanActiveDomain(const Database& db) {
   std::set<std::string> dom;
   for (const auto& [name, rel] : db.relations()) {
@@ -43,120 +40,93 @@ std::vector<std::string> ScanActiveDomain(const Database& db) {
   return std::vector<std::string>(dom.begin(), dom.end());
 }
 
+// A standalone database with the same contents, for the reference run.
+Database Copy(const Database& db) {
+  Database copy(db.alphabet());
+  for (const auto& [name, rel] : db.relations()) {
+    EXPECT_TRUE(copy.AddRelation(name, rel.arity(), rel.tuples()).ok());
+  }
+  return copy;
+}
+
 TEST(DomainStalenessTest, PinnedSnapshotFallsBackToIdenticalRebuild) {
   Database initial(Alphabet::Binary());
   ASSERT_TRUE(initial.AddRelation("R", 1, {{"0"}, {"01"}, {"11"}}).ok());
   serve::QueryServer server(std::move(initial));
-  ASSERT_NE(server.incremental(), nullptr);
 
-  // Seed the index with a first commit, then pin a session at that head.
+  // Pin a session after a first commit.
   Result<CommitDelta> seed =
       server.CommitDeltas({{"R", {"010"}, true}, {"R", {"110"}, true}});
   ASSERT_TRUE(seed.ok()) << seed.status();
   std::unique_ptr<serve::Session> session = server.OpenSession();
-  int64_t pinned_rev = session->revision();
-  EXPECT_EQ(pinned_rev, seed->to_revision);
-  const std::shared_ptr<incr::IncrementalIndex>& provider =
-      server.incremental();
+  EXPECT_EQ(session->revision(), seed->to_revision);
+  const Database& pinned_db = session->snapshot().db();
+  const std::vector<std::string> pinned_dom = ScanActiveDomain(pinned_db);
+  RestrictedEvaluator pinned(&pinned_db);
+  EXPECT_EQ(pinned.PrefixDomCandidates(), PrefixClosure(pinned_dom));
 
-  // At head, the provider serves the pinned revision, agreeing with a fresh
-  // rebuild from the pinned database.
-  std::vector<std::string> rebuilt =
-      ScanActiveDomain(session->snapshot().db());
-  std::optional<std::vector<std::string>> served =
-      provider->ActiveDomainAt(pinned_rev);
-  ASSERT_TRUE(served.has_value());
-  EXPECT_EQ(*served, rebuilt);
-
-  // Move the head: the domain gains one string and loses another.
-  Result<CommitDelta> advance =
-      server.CommitDeltas({{"R", {"0111"}, true}, {"R", {"11"}, false}});
-  ASSERT_TRUE(advance.ok()) << advance.status();
-
-  // The provider is now stale for the pinned revision and must say so
-  // rather than serve the head's (different) domain.
-  EXPECT_FALSE(provider->ActiveDomainAt(pinned_rev).has_value());
-
-  // The pinned snapshot is immutable, so the scan the fallback triggers
-  // produces byte-identical candidates to what the provider served before
-  // the head moved.
-  EXPECT_EQ(ScanActiveDomain(session->snapshot().db()), *served);
-  RestrictedEvaluator pinned(&session->snapshot().db());
-  pinned.set_domain_provider(provider);
-  EXPECT_EQ(pinned.PrefixDomCandidates(), PrefixClosure(*served));
-
-  // And the head itself is served correctly.
-  std::optional<std::vector<std::string>> head_dom =
-      provider->ActiveDomainAt(advance->to_revision);
-  ASSERT_TRUE(head_dom.has_value());
-  DbSnapshot head = server.versioned_db().Snapshot();
-  EXPECT_EQ(*head_dom, ScanActiveDomain(head.db()));
-  EXPECT_NE(*head_dom, *served);
-}
-
-TEST(DomainStalenessTest, StaleProviderDoesNotChangeAnswers) {
-  Database initial(Alphabet::Binary());
-  ASSERT_TRUE(initial.AddRelation("R", 1, {{"0"}, {"01"}, {"010"}}).ok());
-  serve::QueryServer server(std::move(initial));
-  ASSERT_TRUE(server.CommitDeltas({{"R", {"0110"}, true}}).ok());
-  std::unique_ptr<serve::Session> session = server.OpenSession();
-
-  // Make the session's revision stale.
+  // Move the head: the domain gains "0111" and "1111" and loses "11".
+  ASSERT_TRUE(server
+                  .CommitDeltas({{"R", {"0111"}, true}, {"R", {"11"}, false}})
+                  .ok());
   ASSERT_TRUE(server.CommitDeltas({{"R", {"1111"}, true}}).ok());
+  DbSnapshot head = server.versioned_db().Snapshot();
+  ASSERT_NE(ScanActiveDomain(head.db()), pinned_dom);
 
-  // Engine B against the pinned snapshot, with and without the (now stale)
-  // provider: the fallback scan must leave every answer unchanged —
-  // including the guided, pruned walk.
-  RestrictedEvaluator with_provider(&session->snapshot().db());
-  with_provider.set_domain_provider(server.incremental());
-  RestrictedEvaluator without_provider(&session->snapshot().db());
+  // The pinned evaluator still reads the pinned domain, and every answer,
+  // the guided, pruned walks included, equals a run over a fresh copy of
+  // the pinned contents.
+  EXPECT_EQ(ScanActiveDomain(pinned_db), pinned_dom);
+  EXPECT_EQ(pinned.PrefixDomCandidates(), PrefixClosure(pinned_dom));
+  Database reference_db = Copy(pinned_db);
+  RestrictedEvaluator reference(&reference_db);
   for (const char* text :
        {"exists x in adom. (R(x) & x ~1 '01')",
         "exists x in adom. (member(x, '0(0|1)*') & R(x))",
         "forall x in adom. (R(x) -> member(x, '0(0|1)*'))",
         "exists x pre adom. x ~0 '1111'"}) {
     FormulaPtr f = Q(text);
-    Result<bool> a = with_provider.EvaluateSentence(f);
-    Result<bool> b = without_provider.EvaluateSentence(f);
+    Result<bool> a = pinned.EvaluateSentence(f);
+    Result<bool> b = reference.EvaluateSentence(f);
     ASSERT_TRUE(a.ok()) << text << ": " << a.status();
     ASSERT_TRUE(b.ok()) << text << ": " << b.status();
     EXPECT_EQ(*a, *b) << text;
   }
-  // The pinned snapshot predates "1111", so its domain cannot contain it.
+  // The pinned snapshot predates "1111", so its domain cannot contain it;
+  // the head's does.
   Result<bool> unseen =
-      with_provider.EvaluateSentence(Q("exists x in adom. x ~0 '1111'"));
+      pinned.EvaluateSentence(Q("exists x in adom. x ~0 '1111'"));
   ASSERT_TRUE(unseen.ok()) << unseen.status();
   EXPECT_FALSE(*unseen);
+  RestrictedEvaluator at_head(&head.db());
+  Result<bool> seen =
+      at_head.EvaluateSentence(Q("exists x in adom. x ~0 '1111'"));
+  ASSERT_TRUE(seen.ok()) << seen.status();
+  EXPECT_TRUE(*seen);
 }
 
-// The domain is seeded on demand by readers while the commit hook applies
-// or drops it under the writer: readers asking for the head's domain and
-// closure race a writer that interleaves opaque reloads with tuple batches.
-// Whatever the interleaving, a non-null answer must equal the recomputation
-// from a snapshot at the revision asked for (run under TSan in tier-2c).
+// Readers evaluate Engine B over head snapshots while a writer interleaves
+// opaque reloads with tuple batches. Whatever the interleaving, each
+// reader's candidates must equal the recomputation from its own snapshot
+// (run under TSan in tier-2c).
 TEST(DomainStalenessTest, ConcurrentHeadReadersMatchTheirSnapshots) {
   Database initial(Alphabet::Binary());
   ASSERT_TRUE(initial.AddRelation("R", 1, {{"0"}, {"01"}, {"11"}}).ok());
   ASSERT_TRUE(initial.AddRelation("S", 1, {{"10"}}).ok());
   serve::QueryServer server(std::move(initial));
-  const std::shared_ptr<incr::IncrementalIndex>& provider =
-      server.incremental();
 
   std::atomic<bool> stop{false};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&, t] {
+    readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         DbSnapshot snap = server.versioned_db().Snapshot();
-        std::vector<std::string> want = ScanActiveDomain(snap.db());
-        std::optional<std::vector<std::string>> got =
-            provider->ActiveDomainAt(snap.revision());
-        if (got.has_value() && t == 1) {
-          got = WalkDomain(snap.db().alphabet(), *got, {}, /*prefixes=*/true);
-          want = PrefixClosure(want);
+        RestrictedEvaluator eval(&snap.db());
+        if (eval.PrefixDomCandidates() !=
+            PrefixClosure(ScanActiveDomain(snap.db()))) {
+          mismatches.fetch_add(1);
         }
-        if (got.has_value() && *got != want) mismatches.fetch_add(1);
       }
     });
   }
@@ -183,12 +153,6 @@ TEST(DomainStalenessTest, ConcurrentHeadReadersMatchTheirSnapshots) {
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-
-  DbSnapshot head = server.versioned_db().Snapshot();
-  std::optional<std::vector<std::string>> adom =
-      provider->ActiveDomainAt(head.revision());
-  ASSERT_TRUE(adom.has_value());
-  EXPECT_EQ(*adom, ScanActiveDomain(head.db()));
 }
 
 }  // namespace

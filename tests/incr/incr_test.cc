@@ -1,24 +1,20 @@
-// The incremental-maintenance subsystem (src/incr): per-relation table
-// tries, refcounted domain maintenance and the per-revision answer memo.
-// The load-bearing invariant everywhere: a served automaton is
-// indistinguishable from a fresh recompile — same answers, same canonical
-// store id, same safety verdict.
+// Incremental serving: relation tries cached by content revision in the
+// AtomCache, the adom automaton built on demand, and the per-revision
+// answer memo (src/incr). The load-bearing invariant everywhere: a served
+// automaton is indistinguishable from a fresh recompile — same answers,
+// same canonical store id, same safety verdict.
 
 #include "incr/incr.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "automata/store.h"
-#include "base/string_ops.h"
 #include "eval/automata_eval.h"
-#include "eval/restricted_eval.h"
 #include "logic/parser.h"
 #include "obs/trace.h"
 #include "plan/planner.h"
-#include "relational/domain_walk.h"
 #include "serve/server.h"
 #include "gtest/gtest.h"
 
@@ -36,15 +32,6 @@ Database Fixture() {
   Database db(Alphabet::Binary());
   EXPECT_TRUE(db.AddRelation("R", 1, {{"0"}, {"01"}, {"110"}, {"1011"}}).ok());
   return db;
-}
-
-// prefix(adom) at `revision` as Engine B derives it from the index's
-// maintained domain, or nullopt when the index has no view of `revision`.
-std::optional<std::vector<std::string>> ClosureAt(const IncrementalIndex& index,
-                                                  int64_t revision) {
-  std::optional<std::vector<std::string>> adom = index.ActiveDomainAt(revision);
-  if (!adom.has_value()) return std::nullopt;
-  return WalkDomain(Alphabet::Binary(), *adom, {}, /*prefixes=*/true);
 }
 
 // Contents of the server's head snapshot rebuilt as a standalone database,
@@ -89,6 +76,32 @@ int TrieBuildsDuringCompile(serve::Session& session, const FormulaPtr& f) {
   return CountSpans(trace.root(), "mta.from_tuples");
 }
 
+// The trie the server's AtomCache holds for relation `name` at the head's
+// content revision. The lookup runs traced and must build nothing, and the
+// trie must carry the id a fresh FromTuples of the relation's tuples
+// interns in the server's store.
+TrackAutomaton CachedHeadTrie(serve::QueryServer& server,
+                              const std::string& name) {
+  DbSnapshot head = server.versioned_db().Snapshot();
+  const std::vector<Tuple>& tuples = head.db().Find(name)->tuples();
+  const std::string key =
+      "rel:" + name + ":" + std::to_string(head.db().RelationRevision(name));
+  Result<TrackAutomaton> trie = InternalError("unset");
+  {
+    obs::ScopedEnable tracing(true);
+    obs::TraceSession trace;
+    trie = server.atom_cache()->TableTrie(key, {0}, tuples);
+    EXPECT_EQ(CountSpans(trace.root(), "mta.from_tuples"), 0)
+        << name << ": trie not cached at its content revision";
+  }
+  EXPECT_TRUE(trie.ok()) << trie.status().ToString();
+  Result<TrackAutomaton> fresh = TrackAutomaton::FromTuples(
+      server.atom_cache()->store(), server.alphabet(), {0}, tuples);
+  EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(trie->dfa_ref().id(), fresh->dfa_ref().id());
+  return *trie;
+}
+
 TEST(IncrTrieTest, PatchedTrieMatchesRebuildAcrossCommits) {
   serve::QueryServer server(Fixture());
   std::unique_ptr<serve::Session> session = server.OpenSession();
@@ -107,10 +120,8 @@ TEST(IncrTrieTest, PatchedTrieMatchesRebuildAcrossCommits) {
   EXPECT_EQ(rows->size(), 4u);  // 4 - 1 + 1
   // The rebuilt trie serves exactly the relation's tuples.
   DbSnapshot head = server.versioned_db().Snapshot();
-  Result<TrackAutomaton> trie =
-      server.incremental()->RelationTrie(head.db(), "R", {0});
-  ASSERT_TRUE(trie.ok()) << trie.status().ToString();
-  Result<std::vector<std::vector<std::string>>> tuples = trie->AllTuples(100);
+  TrackAutomaton trie = CachedHeadTrie(server, "R");
+  Result<std::vector<std::vector<std::string>>> tuples = trie.AllTuples(100);
   ASSERT_TRUE(tuples.ok());
   Result<Relation> got = Relation::Create(1, *tuples);
   ASSERT_TRUE(got.ok());
@@ -150,9 +161,9 @@ TEST(IncrTrieTest, OpaqueCommitFallsBackToRecompile) {
   EXPECT_GT(server.incremental()->stats().recompiles, 0);
 }
 
-// An opaque reload of R must not rebuild Q: Q's content revision is the
-// one its base was built at, so the base serves the new revision as-is,
-// with the id a fresh build of Q's tuples interns.
+// An opaque reload of R must not rebuild Q: Q's content revision did not
+// move, so its cached trie serves the new revision as-is, with the id a
+// fresh build of Q's tuples interns.
 TEST(IncrTrieTest, ReloadOfOneRelationReusesTheOthersTrie) {
   Database db = Fixture();
   ASSERT_TRUE(db.AddRelation("Q", 1, {{"1"}, {"0110"}, {"111"}}).ok());
@@ -162,23 +173,8 @@ TEST(IncrTrieTest, ReloadOfOneRelationReusesTheOthersTrie) {
   ASSERT_TRUE(session->Compile(f).ok());
   ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, {{"00"}, {"10"}}).ok());
   session->Refresh();
-  const int64_t unchanged_before = server.incremental()->stats().unchanged_hits;
-  {
-    obs::ScopedEnable tracing(true);
-    obs::TraceSession trace;
-    ASSERT_TRUE(session->Compile(f).ok());
-    EXPECT_EQ(CountSpans(trace.root(), "mta.from_tuples"), 1);  // R only
-  }
-  EXPECT_EQ(server.incremental()->stats().unchanged_hits, unchanged_before + 1);
-  DbSnapshot head = server.versioned_db().Snapshot();
-  Result<TrackAutomaton> reused =
-      server.incremental()->RelationTrie(head.db(), "Q", {0});
-  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
-  Result<TrackAutomaton> fresh = TrackAutomaton::FromTuples(
-      server.atom_cache()->store(), server.alphabet(), {0},
-      head.db().Find("Q")->tuples());
-  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-  EXPECT_EQ(reused->dfa_ref().id(), fresh->dfa_ref().id());
+  EXPECT_EQ(TrieBuildsDuringCompile(*session, f), 1);  // R only
+  CachedHeadTrie(server, "Q");
   ExpectMatchesFreshRecompile(*session, server, f);
 }
 
@@ -248,122 +244,30 @@ TEST(IncrAnswerTest, NonLinearAndAdomQueriesStayCorrectViaRecompile) {
   EXPECT_EQ(rows->size(), 5u);  // 4, + 2, - 2 + 1, + 1 - 1
 }
 
-TEST(IncrDomainTest, RefcountedDomainsMatchRecomputation) {
-  serve::QueryServer server(Fixture());
-  ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"01"}, false},
-                                   TupleDelta{"R", {"100"}, true}})
-                  .ok());
-  DbSnapshot head = server.versioned_db().Snapshot();
-  const std::shared_ptr<IncrementalIndex>& index = server.incremental();
-  std::optional<std::vector<std::string>> adom =
-      index->ActiveDomainAt(head.revision());
-  ASSERT_TRUE(adom.has_value());
-  EXPECT_EQ(*adom, head.db().ActiveDomain());
-  std::optional<std::vector<std::string>> closure =
-      ClosureAt(*index, head.revision());
-  ASSERT_TRUE(closure.has_value());
-  EXPECT_EQ(*closure, PrefixClosure(head.db().ActiveDomain()));
-  // A revision the index is not synced to must decline rather than guess.
-  EXPECT_FALSE(index->ActiveDomainAt(head.revision() + 17).has_value());
-}
-
-// The closure derived from the seeded counts must be exact: deleting the
-// domain tuple by tuple, a prefix may leave the closure only with the last
-// string that has it, so every step's closure equals the naive
-// recomputation only if the seeded multiplicities were right and the
-// walk over the sorted keys emits each prefix exactly once, in order. The
-// domain holds the empty string, keys that are whole prefixes of the next
-// key ("0" < "01" < "011"), and keys sharing prefixes with non-adjacent keys
-// ("0010" and "01" share "0" across "0011"); S repeats strings of R2, so
-// multiplicities exceed one.
-TEST(IncrDomainTest, SortedSeedMatchesNaivePrefixCounts) {
-  serve::QueryServer server(Fixture());
-  std::vector<Tuple> r = {{""},    {"0"},   {"0010"}, {"0011"}, {"01"},
-                          {"011"}, {"0110"}, {"1"},   {"10"},   {"1011"}};
-  std::vector<Tuple> s = {{"01", "1"}, {"", "0111"}, {"10", "10"}};
-  ASSERT_TRUE(server.versioned_db().AddRelation("S", 2, s).ok());
-  ASSERT_TRUE(server.versioned_db().AddRelation("R2", 1, r).ok());
-  std::vector<TupleDelta> deletes;
-  Database fixture = Fixture();
-  for (const Tuple& t : fixture.relations().at("R").tuples()) {
-    deletes.push_back(TupleDelta{"R", t, false});
-  }
-  for (const Tuple& t : s) deletes.push_back(TupleDelta{"S", t, false});
-  for (auto it = r.rbegin(); it != r.rend(); ++it) {
-    deletes.push_back(TupleDelta{"R2", *it, false});
-  }
-  const std::shared_ptr<IncrementalIndex>& index = server.incremental();
-  for (size_t step = 0; step <= deletes.size(); ++step) {
-    if (step > 0) {
-      ASSERT_TRUE(server.CommitDeltas({deletes[step - 1]}).ok());
-    }
-    DbSnapshot head = server.versioned_db().Snapshot();
-    std::optional<std::vector<std::string>> closure =
-        ClosureAt(*index, head.revision());
-    ASSERT_TRUE(closure.has_value()) << "step " << step;
-    ASSERT_EQ(*closure, PrefixClosure(head.db().ActiveDomain()))
-        << "step " << step;
-  }
-}
-
-// Commits never scan the database: with no domain consumer, opaque reloads
-// seed nothing. The first consumer at the head seeds once, and tuple
-// commits after it keep the domain live in O(delta), so no further read
-// seeds again.
+// Commits never build the domain: with no adom consumer, opaque reloads
+// build no automaton at all. An adom-quantified read builds the adom trie
+// once per revision it reads, and a second read at that revision builds
+// nothing.
 TEST(IncrDomainTest, DomainIsSeededOnlyOnDemand) {
-  obs::ScopedEnable tracing(true);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  const int64_t before = metrics.Get(obs::kIncrDomSeeds);
   serve::QueryServer server(Fixture());
-  for (int i = 0; i < 20; ++i) {
-    std::string ones(static_cast<size_t>(i) + 1, '1');
-    std::vector<Tuple> tuples = {{"0"}, {ones}};
-    ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, tuples).ok());
+  std::unique_ptr<serve::Session> session = server.OpenSession();
+  {
+    obs::ScopedEnable tracing(true);
+    obs::TraceSession trace;
+    for (int i = 0; i < 20; ++i) {
+      std::string ones(static_cast<size_t>(i) + 1, '1');
+      std::vector<Tuple> tuples = {{"0"}, {ones}};
+      ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, tuples).ok());
+    }
+    ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"0110"}, true}}).ok());
+    EXPECT_EQ(CountSpans(trace.root(), "mta.from_tuples"), 0);
   }
-  EXPECT_EQ(metrics.Get(obs::kIncrDomSeeds) - before, 0);
-
-  const std::shared_ptr<IncrementalIndex>& index = server.incremental();
-  DbSnapshot head = server.versioned_db().Snapshot();
-  std::optional<std::vector<std::string>> adom =
-      index->ActiveDomainAt(head.revision());
-  ASSERT_TRUE(adom.has_value());
-  EXPECT_EQ(*adom, head.db().ActiveDomain());
-  EXPECT_EQ(metrics.Get(obs::kIncrDomSeeds) - before, 1);
-
-  const std::vector<std::vector<TupleDelta>> commits = {
-      {TupleDelta{"R", {"0110"}, true}},
-      {TupleDelta{"R", {"0"}, false}, TupleDelta{"R", {"01"}, true}},
-      {TupleDelta{"R", {"0110"}, false}},
-  };
-  for (const std::vector<TupleDelta>& commit : commits) {
-    ASSERT_TRUE(server.CommitDeltas(commit).ok());
-    head = server.versioned_db().Snapshot();
-    std::optional<std::vector<std::string>> closure =
-        ClosureAt(*index, head.revision());
-    ASSERT_TRUE(closure.has_value());
-    EXPECT_EQ(*closure, PrefixClosure(head.db().ActiveDomain()));
-  }
-  EXPECT_EQ(metrics.Get(obs::kIncrDomSeeds) - before, 1);
-}
-
-TEST(IncrDomainTest, EngineBProviderAgreesWithDefaultRecomputation) {
-  serve::QueryServer server(Fixture());
-  ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
-  DbSnapshot head = server.versioned_db().Snapshot();
-  std::vector<FormulaPtr> sentences;
-  sentences.push_back(Q("exists x in adom. last[1](x)"));
-  sentences.push_back(Q("forall x in adom. member(x, '(0|1)*')"));
-  sentences.push_back(Q("exists x pre adom. !R(x) & last[1](x)"));
-  RestrictedEvaluator with_provider(&head.db());
-  with_provider.set_domain_provider(server.incremental());
-  RestrictedEvaluator without(&head.db());
-  for (const FormulaPtr& f : sentences) {
-    Result<bool> a = with_provider.EvaluateSentence(f);
-    Result<bool> b = without.EvaluateSentence(f);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(*a, *b);
-  }
+  session->Refresh();
+  FormulaPtr adom = Q("exists y in adom. x <= y & last[1](x)");
+  EXPECT_EQ(TrieBuildsDuringCompile(*session, adom), 1);
+  EXPECT_EQ(TrieBuildsDuringCompile(*session, Q("exists y in adom. x = y")),
+            0);
+  ExpectMatchesFreshRecompile(*session, server, adom);
 }
 
 // AdviseLazy reads the revision-agnostic record, so an actual recorded at

@@ -4,12 +4,12 @@
 // reloads of a random relation, cross-checked at EVERY step against a
 // fresh recompile of the same contents by a private evaluator — equal
 // answer languages (canonical ids in a neutral store), equal IsSafe
-// verdicts, relation tries with the ids a fresh build interns, and for
-// Engine B equal truth values with and without the index as the
-// candidate-set provider. Concurrent pinned readers run against old
-// snapshots throughout, so the tier-2 TSan pass exercises the commit hook,
-// the on-demand domain seed, the answer map and the trie single-flight
-// under contention while this test asserts their results.
+// verdicts, cached relation tries with the ids a fresh build interns, and
+// for Engine B equal truth values on the served head snapshot and on the
+// fresh database. Concurrent pinned readers run against old snapshots
+// throughout, so the tier-2 TSan pass exercises the commit hook's cache
+// reclamation, the answer map and the trie single-flight under contention
+// while this test asserts their results.
 
 #include <atomic>
 #include <map>
@@ -42,7 +42,7 @@ FormulaPtr Q(const std::string& text) {
 // a single positive R occurrence, an inequality, a double occurrence,
 // negation, adom quantification, and two-relation shapes whose tries a
 // reload of one relation splits into one rebuilt and one reused. Every
-// answer past its memo's revision recompiles over the maintained tries.
+// answer past its memo's revision recompiles over the cached tries.
 std::vector<FormulaPtr> Battery() {
   std::vector<FormulaPtr> battery;
   battery.push_back(Q("R(x)"));
@@ -150,8 +150,8 @@ TEST(UpdateStreamFuzzTest, IncrementalServingIsIndistinguishableFromRecompile) {
     }
     // About one step in four routes the SAME net change through an opaque
     // wholesale reload of the relation instead: the delta chain breaks,
-    // the live domain is dropped, the reloaded relation's trie rebuilds and
-    // the other relation's trie is reused.
+    // the reloaded relation's trie rebuilds and the other relation's trie
+    // is reused.
     if (rng.NextBelow(4) == 0) {
       ++opaque_commits;
       Status st = server.versioned_db().Update([&](Database& db) {
@@ -199,12 +199,22 @@ TEST(UpdateStreamFuzzTest, IncrementalServingIsIndistinguishableFromRecompile) {
           << "step " << s << ": IsSafe verdict diverged";
     }
 
-    // Served tries (reused or rebuilt) carry the id a fresh build
-    // of the same tuples interns in the server's store.
+    // Served tries (reused or rebuilt) are cached at the head's content
+    // revision, so looking one up builds nothing, and each carries the id
+    // a fresh build of the same tuples interns in the server's store.
     DbSnapshot head = server.versioned_db().Snapshot();
     for (const std::string& name : kRelations) {
-      Result<TrackAutomaton> trie =
-          server.incremental()->RelationTrie(head.db(), name, {0});
+      const std::string key = "rel:" + name + ":" +
+                              std::to_string(head.db().RelationRevision(name));
+      Result<TrackAutomaton> trie = InternalError("unset");
+      {
+        obs::ScopedEnable tracing(true);
+        obs::TraceSession trace;
+        trie = server.atom_cache()->TableTrie(key, {0},
+                                              head.db().Find(name)->tuples());
+        EXPECT_EQ(CountSpans(trace.root(), "mta.from_tuples"), 0)
+            << "step " << s << ": trie of " << name << " not cached";
+      }
       Result<TrackAutomaton> built = TrackAutomaton::FromTuples(
           server.atom_cache()->store(), server.alphabet(), {0},
           UnaryTuples(model[name]));
@@ -214,12 +224,11 @@ TEST(UpdateStreamFuzzTest, IncrementalServingIsIndistinguishableFromRecompile) {
           << "step " << s << ": trie of " << name << " diverged";
     }
 
-    // Engine B: the index as DomainProvider vs default recomputation.
-    RestrictedEvaluator with_provider(&head.db());
-    with_provider.set_domain_provider(server.incremental());
+    // Engine B on the served head snapshot vs the fresh database.
+    RestrictedEvaluator served_b(&head.db());
     RestrictedEvaluator plain(&fresh_db);
     for (const FormulaPtr& f : b_sentences) {
-      Result<bool> a = with_provider.EvaluateSentence(f);
+      Result<bool> a = served_b.EvaluateSentence(f);
       Result<bool> b = plain.EvaluateSentence(f);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
@@ -230,12 +239,11 @@ TEST(UpdateStreamFuzzTest, IncrementalServingIsIndistinguishableFromRecompile) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(reader_failures.load(), 0);
 
-  // The stream must actually have exercised the maintenance paths, not
-  // fallen back to recompiling everything.
+  // The stream must actually have exercised the maintenance paths. Reuse
+  // of the relation a commit left alone is asserted per step above (two
+  // trie builds, not three).
   EXPECT_GT(opaque_commits, 0);
-  Stats stats = server.incremental()->stats();
-  EXPECT_GT(stats.recompiles, 0);      // trie rebuilds + answer recompiles
-  EXPECT_GT(stats.unchanged_hits, 0);  // the relation a commit left alone
+  EXPECT_GT(server.incremental()->stats().recompiles, 0);
 }
 
 }  // namespace

@@ -128,6 +128,40 @@ TEST(AtomCacheTest, TableTrieInvokesSupplierOncePerKey) {
   EXPECT_EQ(calls, 2);
 }
 
+// A relation trie "rel:<name>:<s>" serves every revision in [s, s_next),
+// s_next being the next newer stamp held, else the head's; an adom entry
+// serves only its own revision.
+TEST(AtomCacheTest, EvictRevisionEntriesKeepsWhatALiveRevisionReads) {
+  AtomCache cache(Alphabet::Binary());
+  int calls = 0;
+  auto supplier = [&calls]() {
+    ++calls;
+    return std::vector<std::vector<std::string>>{{"0"}};
+  };
+  // R at stamps 10, 20 and 30 (the head's); S at 5, absent at the head.
+  const std::vector<std::string> keys = {"rel:R:10", "rel:R:20", "rel:R:30",
+                                         "rel:S:5",  "adom:25",  "adom:31"};
+  auto rebuilt = [&](const std::vector<std::string>& probe) {
+    const int before = calls;
+    for (const std::string& key : probe) {
+      EXPECT_TRUE(cache.TableTrie(key, {0}, supplier).ok());
+    }
+    return calls - before;
+  };
+  EXPECT_EQ(rebuilt(keys), 6);
+  const std::map<std::string, int64_t> head = {{"R", 30}};
+  // Head 31 and a pin at 25, which reads R at 20: only R:10 is dead.
+  EXPECT_EQ(cache.EvictRevisionEntries({31, 25}, head), 1u);
+  EXPECT_EQ(rebuilt({"rel:R:20", "rel:R:30", "rel:S:5", "adom:25",
+                     "adom:31"}),
+            0);
+  // The pin dies: R:20 and adom:25 go; S:5 stays, since a head without S
+  // bounds nothing above it.
+  EXPECT_EQ(cache.EvictRevisionEntries({31}, head), 2u);
+  EXPECT_EQ(rebuilt({"rel:R:30", "rel:S:5", "adom:31"}), 0);
+  EXPECT_EQ(rebuilt({"rel:R:20", "adom:25"}), 2);
+}
+
 TEST(AtomCacheTest, UsesTheProvidedStore) {
   AutomatonStore store;
   AtomCache cache(Alphabet::Binary(), &store);

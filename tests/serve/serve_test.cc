@@ -16,6 +16,7 @@
 
 #include "eval/automata_eval.h"
 #include "logic/parser.h"
+#include "obs/trace.h"
 #include "serve/inflight.h"
 #include "gtest/gtest.h"
 
@@ -33,6 +34,22 @@ Database Fixture() {
   Database db(Alphabet::Binary());
   EXPECT_TRUE(db.AddRelation("R", 1, {{"0"}, {"01"}, {"110"}, {"1011"}}).ok());
   return db;
+}
+
+int CountSpans(const obs::TraceNode& node, const std::string& name) {
+  int n = node.name == name ? 1 : 0;
+  for (const auto& child : node.children) n += CountSpans(*child, name);
+  return n;
+}
+
+// Runs `body` under a trace and returns how many automata it built from
+// tuples (mta.from_tuples spans).
+template <typename Fn>
+int TrieBuilds(Fn&& body) {
+  obs::ScopedEnable tracing(true);
+  obs::TraceSession trace;
+  body();
+  return CountSpans(trace.root(), "mta.from_tuples");
 }
 
 TEST(SessionTest, QueryMatchesDirectEvaluation) {
@@ -145,6 +162,34 @@ TEST(ServeConcurrencyTest, ReadersMatchSerialEvaluationOfPinnedSnapshots) {
   stop = true;
   for (std::thread& t : writers) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// The alphabet is fixed for the server's lifetime, so a reader may hold a
+// reference to it while a writer commits (run under TSan in tier-2c).
+TEST(ServeConcurrencyTest, AlphabetIsReadableWhileWritersCommit) {
+  QueryServer server(Fixture());
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Alphabet& alphabet = server.alphabet();
+      if (alphabet.size() != 2 || alphabet.CharOf(0) != '0' ||
+          alphabet.CharOf(1) != '1') {
+        wrong.fetch_add(1);
+      }
+    }
+  });
+  int failed_commits = 0;
+  for (int i = 0; i < 200; ++i) {
+    // Alternately insert and delete one tuple: every commit is effective.
+    if (!server.CommitDeltas({TupleDelta{"R", {"111"}, i % 2 == 0}}).ok()) {
+      ++failed_commits;
+    }
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(failed_commits, 0);
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(ServeBudgetTest, TinyStateBudgetRejectsColdQueryThenRecovers) {
@@ -329,6 +374,60 @@ TEST(ServeReclaimTest, DeadRevisionEntriesEvictedLiveOnesRetained) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), 2u);
   EXPECT_GE(server.stats().entries_reclaimed, 1);
+}
+
+// Relation tries are keyed by content revision: a commit to R leaves Q's
+// trie the head's, so reclamation keeps it and Q compiles without a
+// rebuild, with the answer memo on or off.
+TEST(ServeReclaimTest, UnchangedRelationsTrieSurvivesCommitAndReclaim) {
+  for (bool incremental : {true, false}) {
+    Database db = Fixture();
+    ASSERT_TRUE(db.AddRelation("Q", 1, {{"1"}, {"0110"}}).ok());
+    ServerOptions options;
+    options.enable_incremental = incremental;
+    QueryServer server(std::move(db), options);
+    std::unique_ptr<Session> session = server.OpenSession();
+    ASSERT_TRUE(session->Query(Q("Q(x)")).ok());
+    ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
+    session->Refresh();
+    server.ReclaimDeadSnapshots();
+    FormulaPtr q = Q("Q(x)");
+    EXPECT_EQ(TrieBuilds([&] { ASSERT_TRUE(session->Compile(q).ok()); }), 0)
+        << "incremental=" << incremental;
+  }
+}
+
+// A session pinned after R's last change but before R's reload reads R at
+// its old content revision, so the old trie outlives the reload while the
+// pin lives and is reclaimed once the session refreshes.
+TEST(ServeReclaimTest, PinnedReaderKeepsTheRelationStampItReads) {
+  Database db = Fixture();
+  const std::vector<Tuple> old_r = db.Find("R")->tuples();
+  ASSERT_TRUE(db.AddRelation("Q", 1, {{"1"}}).ok());
+  QueryServer server(std::move(db));
+  // Commit to Q only, then pin: the session's revision lies past R's stamp.
+  ASSERT_TRUE(server.CommitDeltas({TupleDelta{"Q", {"0"}, true}}).ok());
+  std::unique_ptr<Session> session = server.OpenSession();
+  const int64_t stamp = session->snapshot().db().RelationRevision("R");
+  ASSERT_LT(stamp, session->revision());
+  ASSERT_TRUE(session->Query(Q("R(x)")).ok());
+  const std::string old_key = "rel:R:" + std::to_string(stamp);
+  auto lookup_old = [&] {
+    ASSERT_TRUE(server.atom_cache()->TableTrie(old_key, {0}, old_r).ok());
+  };
+
+  // The reload's commit hook reclaims; the pinned reader's entry stays.
+  ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, {{"0"}, {"1"}}).ok());
+  server.ReclaimDeadSnapshots();
+  EXPECT_EQ(TrieBuilds(lookup_old), 0);
+  Result<Relation> still = session->Query(Q("R(x)"));
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ(still->size(), old_r.size());
+
+  // Refresh drops the pin: no live revision reads the old stamp any more.
+  session->Refresh();
+  EXPECT_EQ(server.ReclaimDeadSnapshots(), 1u);
+  EXPECT_EQ(TrieBuilds(lookup_old), 1);
 }
 
 TEST(ServeStatsTest, CountersMoveWithTraffic) {
