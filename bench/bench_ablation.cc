@@ -10,12 +10,13 @@
 //      fully off (non-caching store, fresh cache per evaluation);
 //   5. the cost-based planner: intermediate automaton states with planning
 //      off, per rule in isolation (miniscoping, reordering), and all on;
-//   6. incremental maintenance under an update stream: the same sequence
-//      of tuple-delta commits replayed against a server with the src/incr
-//      answer memo on (answers memoized per revision) vs off (every
-//      answer recompiled from each new snapshot), gated on per-step answer
-//      counts, canonical store ids and safety verdicts being identical
-//      streams. Untimed: perfbench owns wall-clock comparisons.
+//   6. serving under an update stream: a sequence of tuple-delta commits
+//      replayed against a server (answer table, relation tries cached by
+//      content revision) and checked at every step against a fresh
+//      evaluator over a fresh copy of the head with its own store, gated
+//      on per-step answer counts, canonical store ids and safety verdicts
+//      being identical streams. Untimed: perfbench owns wall-clock
+//      comparisons.
 
 #include <algorithm>
 #include <cstdio>
@@ -336,16 +337,16 @@ int Run(int argc, char** argv) {
     reporter.AddScalar("plan.answers_agree", agree ? 1.0 : 0.0);
   }
 
-  // --- 6. Incremental maintenance under an update stream -----------------
+  // --- 6. Serving under an update stream ---------------------------------
   // Precompute one stream of tuple-delta batches (append-only steps, then
-  // mixed insert/delete steps), then replay it twice: once against a
-  // server whose IncrementalIndex memoizes answers per revision, once
-  // against a server that recompiles every answer from each new snapshot
-  // (both reuse relation tries keyed by content revision). The per-step
+  // mixed insert/delete steps) and replay it against a server. After every
+  // commit the served answers are checked against a fresh evaluator over a
+  // fresh Database copy of the head, with its own store: the per-step
   // answer counts, canonical intern ids and finiteness verdicts must be
-  // identical streams across arms: the memo is only an optimization if
-  // nobody can tell. Nothing here is timed;
-  // perfbench's update_stream workload owns the wall-clock comparison.
+  // identical streams, so the server's answer table and revision-keyed
+  // tries are only an optimization if nobody can tell. Nothing here is
+  // timed; perfbench's update_stream workload owns the wall-clock
+  // comparison.
   {
     const uint64_t kSeed = 20260809;
     const int kInitial = reporter.smoke() ? 1000 : 1600;
@@ -359,8 +360,7 @@ int Run(int argc, char** argv) {
     initial.reserve(kInitial);
     for (int i = 0; i < kInitial; ++i) initial.push_back({universe[i]});
     // `model` mirrors the relation contents so every generated op is
-    // effective (inserts draw fresh strings, deletes hit present ones) and
-    // the two arms replay byte-identical batches.
+    // effective (inserts draw fresh strings, deletes hit present ones).
     std::vector<std::string> model(universe.begin(),
                                    universe.begin() + kInitial);
     size_t pool_next = static_cast<size_t>(kInitial);
@@ -400,71 +400,60 @@ int Run(int argc, char** argv) {
       std::vector<uint64_t> counts;
       std::vector<uint64_t> ids;
       std::vector<int> safe;
-      incr::Stats incr_stats;
     };
-    auto run_arm = [&](bool incremental) {
-      ArmResult out;
-      Database start(Alphabet::Binary());
-      if (!start.AddRelation("R", 1, initial).ok()) {
+    auto record = [&](ArmResult& out, const Result<TrackAutomaton>& r) {
+      if (!r.ok()) {
         out.ok = false;
-        return out;
+        return;
       }
-      serve::ServerOptions opts;
-      opts.enable_incremental = incremental;
-      serve::QueryServer server(std::move(start), opts);
+      out.counts.push_back(r->CountUpToLength(14));
+      out.ids.push_back(id_store.Intern(r->dfa()).id());
+      out.safe.push_back(r->IsFinite() ? 1 : 0);
+    };
+    ArmResult served;
+    ArmResult fresh;
+    {
+      Database start(Alphabet::Binary());
+      if (!start.AddRelation("R", 1, initial).ok()) served.ok = false;
+      serve::QueryServer server(std::move(start));
       std::unique_ptr<serve::Session> session = server.OpenSession();
-      auto record = [&](const FormulaPtr& f) {
-        Result<TrackAutomaton> r = session->Compile(f);
-        if (!r.ok()) {
-          out.ok = false;
-          return;
-        }
-        out.counts.push_back(r->CountUpToLength(14));
-        out.ids.push_back(id_store.Intern(r->dfa()).id());
-        out.safe.push_back(r->IsFinite() ? 1 : 0);
-      };
       for (const std::vector<TupleDelta>& batch : batches) {
-        if (!server.CommitDeltas(batch).ok()) {
-          out.ok = false;
+        if (!served.ok || !server.CommitDeltas(batch).ok()) {
+          served.ok = false;
           break;
         }
         session->Refresh();
-        record(q_bare);
-        record(q_lin);
-        record(q_lin2);
-        if (!out.ok) break;
+        Database head(Alphabet::Binary());
+        const Relation* r = session->snapshot().db().Find("R");
+        if (!head.AddRelation("R", 1, r->tuples()).ok()) {
+          fresh.ok = false;
+          break;
+        }
+        AutomatonStore own_store(true);
+        AutomataEvaluator reference(
+            &head,
+            std::make_shared<AtomCache>(Alphabet::Binary(), &own_store));
+        for (const FormulaPtr& f : {q_bare, q_lin, q_lin2}) {
+          record(served, session->Compile(f));
+          record(fresh, reference.Compile(f));
+        }
       }
-      if (server.incremental() != nullptr) {
-        out.incr_stats = server.incremental()->stats();
-      }
-      return out;
-    };
+    }
 
-    std::printf("  [6] incremental maintenance under an update stream:\n");
-    ArmResult indexed = run_arm(true);
-    ArmResult recompiled = run_arm(false);
-    bool both_ok = indexed.ok && recompiled.ok;
-    bool answers_agree = both_ok && !indexed.counts.empty() &&
-                         indexed.counts == recompiled.counts;
-    bool ids_agree =
-        both_ok && !indexed.ids.empty() && indexed.ids == recompiled.ids;
-    bool safe_agree = both_ok && indexed.safe == recompiled.safe;
+    std::printf("  [6] serving under an update stream:\n");
+    bool both_ok = served.ok && fresh.ok;
+    bool answers_agree = both_ok && !served.counts.empty() &&
+                         served.counts == fresh.counts;
+    bool ids_agree = both_ok && !served.ids.empty() && served.ids == fresh.ids;
+    bool safe_agree = both_ok && served.safe == fresh.safe;
     std::printf(
         "      %d append + %d mixed commits of %d ops, 3 queries per step\n",
         kAppendSteps, kMixSteps, kOpsPerStep);
-    std::printf("      index: %lld recompile(s), %lld unchanged hit(s)\n",
-                static_cast<long long>(indexed.incr_stats.recompiles),
-                static_cast<long long>(indexed.incr_stats.unchanged_hits));
     std::printf(
         "      answers agree: %s; store ids agree: %s; safety verdicts "
         "agree: %s\n",
         answers_agree ? "yes" : "NO", ids_agree ? "yes" : "NO",
         safe_agree ? "yes" : "NO");
-    reporter.AddScalar("incr.recompiles",
-                       static_cast<double>(indexed.incr_stats.recompiles));
-    reporter.AddScalar(
-        "incr.unchanged_hits",
-        static_cast<double>(indexed.incr_stats.unchanged_hits));
     reporter.AddScalar("incr.answers_agree", answers_agree ? 1.0 : 0.0);
     reporter.AddScalar("incr.store_ids_agree", ids_agree ? 1.0 : 0.0);
     reporter.AddScalar("incr.safe_agree", safe_agree ? 1.0 : 0.0);

@@ -221,7 +221,7 @@ class Shell {
              "  update <rel> +t -t ...: batch tuple writes committed as ONE "
              "revision (+ inserts, - deletes; fields comma-separated, '' = "
              "ε); only the changed relation's trie is rebuilt, and answers "
-             "are memoized per revision (docs/INCREMENTAL.md)\n");
+             "are memoized per revision (docs/SERVING.md)\n");
       Printf(out,
              "  explain (or \\explain) <formula>: compile with tracing on "
              "and print the chosen plan\n"
@@ -715,15 +715,9 @@ class Shell {
            static_cast<long long>(serving.live_pins),
            static_cast<long long>(serving.entries_reclaimed),
            static_cast<long long>(atoms.evictions));
-    if (server_->incremental() != nullptr) {
-      const incr::Stats inc = server_->incremental()->stats();
-      Printf(out,
-             "  incremental: %lld recompile(s), %lld unchanged hit(s), %lld "
-             "answer hit(s)\n",
-             static_cast<long long>(inc.recompiles),
-             static_cast<long long>(inc.unchanged_hits),
-             static_cast<long long>(inc.answer_hits));
-    }
+    Printf(out, "  answers: %lld hit(s), %lld held\n",
+           static_cast<long long>(serving.answer_hits),
+           static_cast<long long>(serving.answer_entries));
     std::map<std::string, obs::Histogram::Snapshot> hists =
         obs::MetricsRegistry::Global().HistSnapshot();
     if (hists.empty()) {

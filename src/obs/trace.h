@@ -173,11 +173,10 @@ inline constexpr char kServeAdmissionRejects[] = "serve.admission_rejects";
 inline constexpr char kServeInflightDedupHits[] = "serve.inflight_dedup_hits";
 inline constexpr char kServeSnapshotsReclaimed[] = "serve.snapshots_reclaimed";
 inline constexpr char kServeBudgetRejects[] = "serve.budget_rejects";
-// Incremental-maintenance counters (src/incr), answer memo only: recompiles
-// (an answer recompiled past its memo's revision) and unchanged hits (an
-// answer reused over a net-empty delta window). Relation-trie reuse shows
-// as atom_cache hits. Nothing increments incr.patches or incr.compactions;
-// they stay because perfbench reports them (always 0).
+// Retired incremental-maintenance counters. The server keeps one answer per
+// (formula, revision) and relation-trie reuse shows as atom_cache hits, so
+// nothing increments these; they stay because perfbench reports them
+// (always 0).
 inline constexpr char kIncrPatches[] = "incr.patches";
 inline constexpr char kIncrRecompiles[] = "incr.recompiles";
 inline constexpr char kIncrCompactions[] = "incr.compactions";

@@ -1,5 +1,6 @@
 #include "plan/planner.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/budget.h"
@@ -138,7 +139,8 @@ PlannedQuery Planner::Plan(const FormulaPtr& f, const Database* db,
     ++stats_.cache_misses;
     stats_.rules_fired += out.rules_fired;
     stats_.shared_subplans += out.shared_subplans;
-    cache_[key].push_back(CacheEntry{f, out, std::nullopt});
+    cache_[key].push_back(CacheEntry{f, db != nullptr ? db->revision() : 0,
+                                     out, std::nullopt});
     int64_t bytes = PlanEntryBytes(out);
     stats_.bytes += bytes;
     obs::MemAdd(obs::MemCategory::kPlanCache, bytes);
@@ -225,6 +227,27 @@ bool Planner::AdviseLazy(const FormulaPtr& f, double estimated_states) const {
 Planner::Stats Planner::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+void Planner::EvictDeadRevisions(const std::vector<int64_t>& live) {
+  if (live.empty()) return;
+  const int64_t newest = *std::max_element(live.begin(), live.end());
+  auto dead = [&](const CacheEntry& entry) {
+    return entry.revision < newest &&
+           std::find(live.begin(), live.end(), entry.revision) == live.end();
+  };
+  std::lock_guard<std::mutex> lock(mu_);
+  int64_t released = 0;
+  for (auto it = cache_.begin(); it != cache_.end();) {
+    std::vector<CacheEntry>& bucket = it->second;
+    for (const CacheEntry& entry : bucket) {
+      if (dead(entry)) released += PlanEntryBytes(entry.planned);
+    }
+    std::erase_if(bucket, dead);
+    it = bucket.empty() ? cache_.erase(it) : std::next(it);
+  }
+  stats_.bytes -= released;
+  obs::MemAdd(obs::MemCategory::kPlanCache, -released);
 }
 
 void Planner::ClearCache() {

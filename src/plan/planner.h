@@ -101,9 +101,9 @@ class Planner {
 
   // The plan-cache key for (f, db): the formula's structural hash mixed with
   // the database revision. Structurally identical queries against the same
-  // revision collide here by design — the serving layer keys its in-flight
-  // compilation dedup on this value (with a StructurallyEqual guard against
-  // genuine hash collisions).
+  // revision collide here by design — the serving layer keys its answer
+  // table on this value (with a StructurallyEqual guard against genuine
+  // hash collisions).
   uint64_t QueryKey(const FormulaPtr& f, const Database* db) const {
     return CacheKey(f, db);
   }
@@ -140,9 +140,16 @@ class Planner {
   // obs gauge) to zero. Hit/miss counters are left untouched.
   void ClearCache();
 
+  // Drops the cached plans planned against a database revision not in
+  // `live` (the serving layer's head and pinned revisions), refunding their
+  // bytes. Revisions newer than all of `live` are kept: they were published
+  // after the caller listed it.
+  void EvictDeadRevisions(const std::vector<int64_t>& live);
+
  private:
   struct CacheEntry {
     FormulaPtr original;  // collision guard: verified with StructurallyEqual
+    int64_t revision = 0;  // of the database planned against (0: none)
     PlannedQuery planned;
     std::optional<int64_t> actual_states;
   };

@@ -56,8 +56,8 @@ Status VersionedDatabase::Update(
     std::lock_guard<std::mutex> lock(mu_);
     head_ = std::move(next);
   }
-  // Arbitrary mutations are not expressible as tuple ops: log them opaque
-  // so delta replays across this commit fall back to full recompilation.
+  // Arbitrary mutations are not expressible as tuple ops: publish them
+  // opaque.
   if (to != from) Publish(CommitDelta{from, to, /*opaque=*/true, {}});
   return Status::Ok();
 }
@@ -97,38 +97,16 @@ Result<CommitDelta> VersionedDatabase::ApplyDeltas(
   return delta;
 }
 
-std::optional<std::vector<TupleDelta>> VersionedDatabase::DeltasBetween(
-    int64_t from_revision, int64_t to_revision) const {
-  if (to_revision < from_revision) return std::nullopt;
-  std::vector<TupleDelta> out;
-  if (to_revision == from_revision) return out;
-  std::lock_guard<std::mutex> lock(log_mu_);
-  // Walk the contiguous chain of commit records from `from_revision` up.
-  // The log is ordered by construction (appended under write_mu_), so a
-  // linear scan for the starting edge suffices at kMaxLogCommits size.
-  int64_t at = from_revision;
-  for (const CommitDelta& c : log_) {
-    if (c.from_revision != at) continue;
-    if (c.opaque) return std::nullopt;
-    out.insert(out.end(), c.ops.begin(), c.ops.end());
-    at = c.to_revision;
-    if (at == to_revision) return out;
-  }
-  return std::nullopt;  // chain truncated or revisions unknown
-}
-
 void VersionedDatabase::SetCommitHook(
     std::function<void(const CommitDelta&)> hook) {
-  std::lock_guard<std::mutex> lock(log_mu_);
+  std::lock_guard<std::mutex> lock(hook_mu_);
   commit_hook_ = std::move(hook);
 }
 
-void VersionedDatabase::Publish(CommitDelta delta) {
+void VersionedDatabase::Publish(const CommitDelta& delta) {
   std::function<void(const CommitDelta&)> hook;
   {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    log_.push_back(delta);
-    while (log_.size() > kMaxLogCommits) log_.pop_front();
+    std::lock_guard<std::mutex> lock(hook_mu_);
     hook = commit_hook_;
   }
   if (hook) hook(delta);

@@ -2,12 +2,10 @@
 #define STRQ_RELATIONAL_SNAPSHOT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +14,7 @@
 namespace strq {
 
 // One tuple-level write: insert (or delete) `tuple` into relation
-// `relation`. The unit of the incremental-maintenance delta log.
+// `relation`.
 struct TupleDelta {
   std::string relation;
   Tuple tuple;
@@ -26,8 +24,7 @@ struct TupleDelta {
 // The published record of one commit: the revision edge it created and the
 // tuple ops that explain it. `opaque` marks commits whose effect cannot be
 // expressed as tuple deltas (whole-relation AddRelation, arbitrary Update
-// mutations) — a delta chain crossing an opaque commit cannot be replayed,
-// so consumers fall back to full recompilation.
+// mutations).
 struct CommitDelta {
   int64_t from_revision = 0;
   int64_t to_revision = 0;
@@ -111,21 +108,12 @@ class VersionedDatabase {
   Status Update(const std::function<Status(Database&)>& mutate);
 
   // Applies a batch of tuple-level writes as ONE copy-modify-publish commit
-  // (one head copy, one revision edge) and records the effective ops in the
-  // delta log. No-op writes (inserting a present tuple, deleting an absent
-  // one) are dropped from the record; if nothing changed, nothing is
+  // (one head copy, one revision edge) and reports the effective ops to the
+  // commit hook. No-op writes (inserting a present tuple, deleting an
+  // absent one) are dropped from the record; if nothing changed, nothing is
   // published and the returned CommitDelta has from_revision ==
   // to_revision and no ops. On error nothing is published.
   Result<CommitDelta> ApplyDeltas(const std::vector<TupleDelta>& ops);
-
-  // The concatenated effective tuple ops along the revision chain
-  // (from_revision, to_revision], or nullopt if the chain is not fully
-  // replayable: unknown revisions, a segment truncated out of the bounded
-  // log, an opaque commit in between, or to < from. DeltasBetween(r, r)
-  // returns an empty vector.
-  std::optional<std::vector<TupleDelta>> DeltasBetween(int64_t from_revision,
-                                                       int64_t to_revision)
-      const;
 
   // Registers a hook invoked after every publishing commit (including
   // opaque ones), while the writer lock is still held so hooks observe
@@ -151,9 +139,8 @@ class VersionedDatabase {
     std::map<int64_t, int> pins;
   };
 
-  // Called with write_mu_ held, after the head swap: records the commit in
-  // the bounded delta log and fires the commit hook.
-  void Publish(CommitDelta delta);
+  // Called with write_mu_ held, after the head swap: fires the commit hook.
+  void Publish(const CommitDelta& delta);
 
   const Alphabet alphabet_;
   mutable std::mutex mu_;        // guards the head_ pointer swap
@@ -162,11 +149,7 @@ class VersionedDatabase {
   // Shared with every pin token so tokens outliving this object stay safe.
   std::shared_ptr<PinTable> pins_;
 
-  // Bounded history of commit records, oldest first; guarded by log_mu_
-  // (not mu_: DeltasBetween readers must not contend with the head swap).
-  static constexpr size_t kMaxLogCommits = 128;
-  mutable std::mutex log_mu_;
-  std::deque<CommitDelta> log_;
+  std::mutex hook_mu_;  // guards commit_hook_
   std::function<void(const CommitDelta&)> commit_hook_;
 };
 

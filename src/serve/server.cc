@@ -34,9 +34,6 @@ QueryServer::QueryServer(Database initial, ServerOptions options)
 }
 
 void QueryServer::InstallCommitHook() {
-  if (options_.enable_incremental) {
-    incr_ = std::make_shared<incr::IncrementalIndex>(&db_);
-  }
   // Every commit (whatever API produced it) reclaims the cache entries
   // that only snapshots it just orphaned could read.
   db_.SetCommitHook([this](const CommitDelta&) { ReclaimDeadSnapshots(); });
@@ -102,30 +99,21 @@ Result<TrackAutomaton> QueryServer::CompileShared(Session& session,
                                                   const FormulaPtr& f) {
   AutomataEvaluator& eval = *session.eval_;
   const Database* db = &session.snapshot_.db();
-  // The plan-cache key already mixes the database revision, so structurally
-  // identical queries only collapse when they target the same snapshot.
-  uint64_t key = planner_->QueryKey(f, db);
-  auto outcome = inflight_.Do(key, [&] {
-    CompiledEntry entry;
-    entry.formula = f;
-    // The leader routes through the answer memo: the answer is reused when
-    // its revision or a net-empty delta window allows, recompiled
-    // otherwise.
-    entry.result = incr_ != nullptr ? incr_->CompileAnswer(eval, f, *db)
-                                    : eval.Compile(f);
-    return entry;
-  });
+  auto outcome = answers_.Get(
+      {db->revision(), planner_->QueryKey(f, db)},
+      [&] { return CompiledEntry{f, eval.Compile(f)}; },
+      [](const CompiledEntry& entry) { return entry.result.ok(); });
   if (outcome.leader) return outcome.value->result;
-  // Waiter. Two reasons not to take the shared value: the hashed key
-  // collided with a different formula, or the leader died of its OWN
-  // budget (deadline/state ceiling) — a verdict that says nothing about
-  // what this request's budget allows. Both fall back to a private compile
-  // (which still hits the plan cache and the store's computed table, so
-  // little work is repeated).
-  if (!StructurallyEqual(outcome.value->formula, f)) {
-    return eval.Compile(f);
-  }
+  // The hashed key collided with a different formula: compile privately
+  // (the plan cache and the store's computed table still help).
+  if (!StructurallyEqual(outcome.value->formula, f)) return eval.Compile(f);
   const Result<TrackAutomaton>& shared = outcome.value->result;
+  if (!outcome.waited) {
+    answer_hits_.fetch_add(1, std::memory_order_relaxed);
+    return shared;
+  }
+  // A leader that died of its OWN budget (deadline/state ceiling) says
+  // nothing about what this request's budget allows.
   if (!shared.ok() &&
       (shared.status().code() == StatusCode::kDeadlineExceeded ||
        shared.status().code() == StatusCode::kResourceExhausted)) {
@@ -140,8 +128,11 @@ size_t QueryServer::ReclaimDeadSnapshots() {
   // Pin the head before listing live revisions: a revision pinned later is
   // no older than this head, so it reads no stamp older than the head's.
   DbSnapshot head = db_.Snapshot();
-  size_t evicted = cache_->EvictRevisionEntries(
-      db_.LiveRevisions(), head.db().relation_revisions());
+  const std::vector<int64_t> live = db_.LiveRevisions();
+  answers_.EraseDeadRevisions(live);
+  planner_->EvictDeadRevisions(live);
+  size_t evicted =
+      cache_->EvictRevisionEntries(live, head.db().relation_revisions());
   if (evicted > 0) {
     entries_reclaimed_.fetch_add(static_cast<int64_t>(evicted),
                                  std::memory_order_relaxed);
@@ -158,6 +149,8 @@ QueryServer::Stats QueryServer::stats() const {
   s.requests = requests_.load(std::memory_order_relaxed);
   s.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
   s.inflight_dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
+  s.answer_hits = answer_hits_.load(std::memory_order_relaxed);
+  s.answer_entries = static_cast<int64_t>(answers_.size());
   s.budget_rejects = budget_rejects_.load(std::memory_order_relaxed);
   s.entries_reclaimed = entries_reclaimed_.load(std::memory_order_relaxed);
   s.live_pins = static_cast<int64_t>(db_.pinned_revisions());

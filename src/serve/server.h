@@ -15,12 +15,11 @@
 #include "base/budget.h"
 #include "base/status.h"
 #include "eval/automata_eval.h"
-#include "incr/incr.h"
 #include "logic/ast.h"
 #include "mta/atom_cache.h"
 #include "plan/planner.h"
 #include "relational/snapshot.h"
-#include "serve/inflight.h"
+#include "serve/answer_table.h"
 
 namespace strq {
 namespace serve {
@@ -50,13 +49,6 @@ struct ServerOptions {
   int max_queued = -1;
   // Planner options for the shared planner (plan cache included).
   plan::PlannerOptions planner;
-  // Incremental maintenance (src/incr): memoize each materialized answer
-  // per revision and reuse it across net-empty delta windows. Answers and
-  // canonical store ids are identical either way; disable to get the
-  // recompile-every-answer baseline (bench_ablation's update-stream rows).
-  // Relation tries are reused across revisions either way: the AtomCache
-  // keys them on the relation's content revision.
-  bool enable_incremental = true;
 };
 
 // Per-session request budget template. Each request materializes it into a
@@ -83,11 +75,14 @@ struct SessionBudget {
 //    tries, store products and plans are shared across sessions — canonical
 //    store ids are identical no matter how many sessions race (the store
 //    interns by language).
-//  * Structurally identical queries against the same revision that arrive
-//    while one of them is still compiling are collapsed to a single
-//    compilation (single-flight keyed on the planner's plan-cache key, with
-//    a StructurallyEqual guard against hash collisions); the waiters share
-//    the leader's answer automaton and count as serve.inflight_dedup_hits.
+//  * One answer table holds every materialized answer per (formula,
+//    revision), in flight or completed (keyed on the planner's plan-cache
+//    key, with a StructurallyEqual guard against hash collisions). A
+//    structurally identical query against the same revision is compiled
+//    once: callers arriving while it compiles wait and share the answer
+//    (serve.inflight_dedup_hits), later ones hit it (Stats::answer_hits).
+//    Relation tries are reused across revisions below this table: the
+//    AtomCache keys them on the relation's content revision.
 //  * Admission control (ServerOptions) bounds concurrent evaluation;
 //    rejected requests fail fast with RESOURCE_EXHAUSTED.
 //
@@ -111,12 +106,6 @@ class QueryServer {
   const std::shared_ptr<AtomCache>& atom_cache() const { return cache_; }
   const std::shared_ptr<plan::Planner>& planner() const { return planner_; }
 
-  // The per-revision answer memo, or null when
-  // ServerOptions::enable_incremental is off.
-  const std::shared_ptr<incr::IncrementalIndex>& incremental() const {
-    return incr_;
-  }
-
   // Applies a batch of tuple writes as ONE commit (one revision edge);
   // dead-snapshot cache entries are reclaimed on the same edge. Open
   // sessions keep their pinned snapshots until they Refresh().
@@ -125,14 +114,12 @@ class QueryServer {
   // Opens a session pinned at the current head revision.
   std::unique_ptr<Session> OpenSession();
 
-  // Drops the table tries (relation tries, adom automata) that neither the
-  // head nor any snapshot pinned by a live session can read (see
-  // AtomCache::EvictRevisionEntries). Returns the number of entries
-  // dropped. Cheap to call after every commit or on a timer; entries a live
-  // snapshot reads are never touched. (Plan-cache entries for dead
-  // revisions are retained — their keys are opaque hashes — but are never
-  // hit again; ClearCache() on the planner is the blunt instrument if
-  // needed.)
+  // Drops what neither the head nor any snapshot pinned by a live session
+  // can read: completed answers and plans at dead revisions, and table
+  // tries (relation tries, adom automata; see
+  // AtomCache::EvictRevisionEntries). Returns the number of table tries
+  // dropped. Every commit runs it; entries a live snapshot reads are never
+  // touched.
   size_t ReclaimDeadSnapshots();
 
   struct Stats {
@@ -140,6 +127,10 @@ class QueryServer {
     int64_t requests = 0;
     int64_t admission_rejects = 0;
     int64_t inflight_dedup_hits = 0;
+    // Requests served a completed answer at their revision.
+    int64_t answer_hits = 0;
+    // Completed answers currently held.
+    int64_t answer_entries = 0;
     int64_t budget_rejects = 0;
     int64_t entries_reclaimed = 0;
     // Distinct revisions currently pinned by live snapshots.
@@ -171,8 +162,7 @@ class QueryServer {
     QueryServer* server_ = nullptr;
   };
 
-  // Builds the answer memo (when enabled) and registers the commit hook
-  // that reclaims dead-snapshot cache entries.
+  // Registers the commit hook that reclaims dead-snapshot cache entries.
   void InstallCommitHook();
 
   // Blocks until a slot frees up (or `deadline`, when the request has one;
@@ -180,9 +170,8 @@ class QueryServer {
   // immediately with RESOURCE_EXHAUSTED.
   Result<Ticket> Admit(const RequestBudget& budget);
 
-  // Compile `f` for `session`, collapsing structurally identical in-flight
-  // compilations across sessions (keyed on the session snapshot's
-  // revision).
+  // The answer to `f` at `session`'s revision from the answer table,
+  // compiled by the first caller that asks for it.
   Result<TrackAutomaton> CompileShared(Session& session, const FormulaPtr& f);
 
   struct CompiledEntry {
@@ -194,9 +183,8 @@ class QueryServer {
   VersionedDatabase db_;
   std::shared_ptr<AtomCache> cache_;
   std::shared_ptr<plan::Planner> planner_;
-  std::shared_ptr<incr::IncrementalIndex> incr_;
 
-  SingleFlight<uint64_t, CompiledEntry> inflight_;
+  AnswerTable<CompiledEntry> answers_;
 
   std::mutex adm_mu_;
   std::condition_variable adm_cv_;
@@ -207,6 +195,7 @@ class QueryServer {
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> admission_rejects_{0};
   std::atomic<int64_t> dedup_hits_{0};
+  std::atomic<int64_t> answer_hits_{0};
   std::atomic<int64_t> budget_rejects_{0};
   std::atomic<int64_t> entries_reclaimed_{0};
 };

@@ -1,6 +1,6 @@
 // The serving layer end to end: MVCC snapshot isolation under concurrent
-// writers, session budgets, single-flight dedup, admission control, and
-// snapshot-keyed cache reclamation. The concurrency tests here are the
+// writers, session budgets, the answer table's hits and single-flight
+// dedup, admission control, and snapshot-keyed cache reclamation. The concurrency tests here are the
 // tier-2 tsan targets — every cross-thread interaction of the serving
 // stack (pin table, striped store, atom-cache single-flight, admission
 // queue) gets exercised under race detection.
@@ -14,10 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "automata/store.h"
 #include "eval/automata_eval.h"
 #include "logic/parser.h"
 #include "obs/trace.h"
-#include "serve/inflight.h"
+#include "serve/answer_table.h"
 #include "gtest/gtest.h"
 
 namespace strq {
@@ -39,6 +40,17 @@ Database Fixture() {
 int CountSpans(const obs::TraceNode& node, const std::string& name) {
   int n = node.name == name ? 1 : 0;
   for (const auto& child : node.children) n += CountSpans(*child, name);
+  return n;
+}
+
+// Spans whose name starts with `prefix` (the compile.* spans of one
+// Compile, say).
+int CountSpansWithPrefix(const obs::TraceNode& node,
+                         const std::string& prefix) {
+  int n = node.name.rfind(prefix, 0) == 0 ? 1 : 0;
+  for (const auto& child : node.children) {
+    n += CountSpansWithPrefix(*child, prefix);
+  }
   return n;
 }
 
@@ -242,54 +254,91 @@ TEST(ServeBudgetTest, TupleCapSurfacesAsResourceExhausted) {
   EXPECT_FALSE(r.ok());
 }
 
+// The answer table's single flight: concurrent callers for one key share
+// one computation, and later callers hit the completed value.
 TEST(SingleFlightTest, WaitersShareTheLeadersValue) {
-  SingleFlight<int, int> sf;
+  AnswerTable<int> table;
+  auto keep = [](int) { return true; };
   std::atomic<int> computes{0};
   std::atomic<bool> release{false};
   // The leader blocks inside compute until a waiter is provably waiting, so
   // the dedup interleaving is deterministic, not a race we hope for.
   std::thread leader([&] {
-    sf.Do(7, [&] {
+    table.Get({1, 7}, [&] {
       computes.fetch_add(1);
       while (!release.load()) std::this_thread::yield();
       return 42;
-    });
+    }, keep);
   });
-  while (sf.inflight_size() == 0) std::this_thread::yield();
+  while (table.inflight_size() == 0) std::this_thread::yield();
   std::thread waiter([&] {
-    auto outcome = sf.Do(7, [&] {
+    auto outcome = table.Get({1, 7}, [&] {
       computes.fetch_add(1);
       return -1;  // must never run
-    });
+    }, keep);
     EXPECT_FALSE(outcome.leader);
+    EXPECT_TRUE(outcome.waited);
     EXPECT_EQ(*outcome.value, 42);
   });
-  while (sf.total_waits() == 0) std::this_thread::yield();
+  while (table.total_waits() == 0) std::this_thread::yield();
   release = true;
   leader.join();
   waiter.join();
   EXPECT_EQ(computes.load(), 1);
-  EXPECT_EQ(sf.total_waits(), 1);
-  EXPECT_EQ(sf.inflight_size(), 0u);
-  // The entry retired with the leader: a later call computes afresh.
-  auto again = sf.Do(7, [&] {
+  EXPECT_EQ(table.total_waits(), 1);
+  EXPECT_EQ(table.inflight_size(), 0u);
+  EXPECT_EQ(table.size(), 1u);
+  // The completed entry stays: a later call hits it without computing.
+  auto again = table.Get({1, 7}, [&] {
     computes.fetch_add(1);
     return 43;
-  });
-  EXPECT_TRUE(again.leader);
-  EXPECT_EQ(*again.value, 43);
-  EXPECT_EQ(computes.load(), 2);
+  }, keep);
+  EXPECT_FALSE(again.leader);
+  EXPECT_FALSE(again.waited);
+  EXPECT_EQ(*again.value, 42);
+  EXPECT_EQ(computes.load(), 1);
+  // A value the caller does not retain is gone once published: the next
+  // call computes afresh.
+  auto drop = [](int) { return false; };
+  EXPECT_TRUE(table.Get({1, 8}, [] { return 5; }, drop).leader);
+  auto fresh = table.Get({1, 8}, [] { return 6; }, drop);
+  EXPECT_TRUE(fresh.leader);
+  EXPECT_EQ(*fresh.value, 6);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(SingleFlightTest, DistinctKeysNeverCollapse) {
-  SingleFlight<int, int> sf;
-  auto a = sf.Do(1, [] { return 10; });
-  auto b = sf.Do(2, [] { return 20; });
+  AnswerTable<int> table;
+  auto keep = [](int) { return true; };
+  auto a = table.Get({1, 1}, [] { return 10; }, keep);
+  auto b = table.Get({1, 2}, [] { return 20; }, keep);
+  // Same query key at another revision: a distinct entry.
+  auto c = table.Get({2, 1}, [] { return 30; }, keep);
   EXPECT_TRUE(a.leader);
   EXPECT_TRUE(b.leader);
+  EXPECT_TRUE(c.leader);
   EXPECT_EQ(*a.value, 10);
   EXPECT_EQ(*b.value, 20);
-  EXPECT_EQ(sf.total_waits(), 0);
+  EXPECT_EQ(*c.value, 30);
+  EXPECT_EQ(table.total_waits(), 0);
+  // Only revision 1 is dead; revision 3 is newer than every live one.
+  table.Get({3, 1}, [] { return 40; }, keep);
+  EXPECT_EQ(table.EraseDeadRevisions({2}), 2u);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+// Past kMaxCompleted completed entries the table starts over.
+TEST(AnswerTableTest, OverflowClearsCompletedEntries) {
+  AnswerTable<int> table;
+  auto keep = [](int) { return true; };
+  const uint64_t n = AnswerTable<int>::kMaxCompleted;
+  for (uint64_t k = 0; k < n; ++k) {
+    table.Get({1, k}, [] { return 0; }, keep);
+  }
+  EXPECT_EQ(table.size(), n);
+  table.Get({1, n}, [] { return 0; }, keep);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(table.Get({1, 0}, [] { return 0; }, keep).leader);
 }
 
 TEST(ServeDedupTest, ConcurrentIdenticalCompilesCollapse) {
@@ -378,23 +427,46 @@ TEST(ServeReclaimTest, DeadRevisionEntriesEvictedLiveOnesRetained) {
 
 // Relation tries are keyed by content revision: a commit to R leaves Q's
 // trie the head's, so reclamation keeps it and Q compiles without a
-// rebuild, with the answer memo on or off.
+// rebuild.
 TEST(ServeReclaimTest, UnchangedRelationsTrieSurvivesCommitAndReclaim) {
-  for (bool incremental : {true, false}) {
-    Database db = Fixture();
-    ASSERT_TRUE(db.AddRelation("Q", 1, {{"1"}, {"0110"}}).ok());
-    ServerOptions options;
-    options.enable_incremental = incremental;
-    QueryServer server(std::move(db), options);
-    std::unique_ptr<Session> session = server.OpenSession();
-    ASSERT_TRUE(session->Query(Q("Q(x)")).ok());
-    ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
+  Database db = Fixture();
+  ASSERT_TRUE(db.AddRelation("Q", 1, {{"1"}, {"0110"}}).ok());
+  QueryServer server(std::move(db));
+  std::unique_ptr<Session> session = server.OpenSession();
+  ASSERT_TRUE(session->Query(Q("Q(x)")).ok());
+  ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
+  session->Refresh();
+  server.ReclaimDeadSnapshots();
+  FormulaPtr q = Q("Q(x)");
+  EXPECT_EQ(TrieBuilds([&] { ASSERT_TRUE(session->Compile(q).ok()); }), 0);
+}
+
+// Plans are keyed by revision, so reclamation drops the plans of dead
+// revisions: a session that reloads and re-reads in a loop holds the plan
+// cache at a fixed size.
+TEST(ServeReclaimTest, PlanCacheStaysFlatAcrossReloads) {
+  QueryServer server(Fixture());
+  std::unique_ptr<Session> session = server.OpenSession();
+  FormulaPtr f = Q("exists y. R(y) & x <= y & last[1](x)");
+  int64_t settled = 0;
+  for (int i = 0; i < 50; ++i) {
+    // Fresh strings of the same shape every round (four of length 8), so
+    // every plan prints the same.
+    std::vector<Tuple> tuples;
+    for (int k = 0; k < 4; ++k) {
+      std::string str;
+      for (int bit = 7; bit >= 0; --bit) {
+        str += ((i * 4 + k) >> bit & 1) != 0 ? '1' : '0';
+      }
+      tuples.push_back({str});
+    }
+    ASSERT_TRUE(server.versioned_db().AddRelation("R", 1, tuples).ok());
     session->Refresh();
-    server.ReclaimDeadSnapshots();
-    FormulaPtr q = Q("Q(x)");
-    EXPECT_EQ(TrieBuilds([&] { ASSERT_TRUE(session->Compile(q).ok()); }), 0)
-        << "incremental=" << incremental;
+    ASSERT_TRUE(session->Query(f).ok());
+    if (i == 1) settled = server.planner()->stats().bytes;
   }
+  EXPECT_GT(settled, 0);
+  EXPECT_EQ(server.planner()->stats().bytes, settled);
 }
 
 // A session pinned after R's last change but before R's reload reads R at
@@ -428,6 +500,102 @@ TEST(ServeReclaimTest, PinnedReaderKeepsTheRelationStampItReads) {
   session->Refresh();
   EXPECT_EQ(server.ReclaimDeadSnapshots(), 1u);
   EXPECT_EQ(TrieBuilds(lookup_old), 1);
+}
+
+// A re-read at the session's revision is served from the answer table:
+// no compile span, one more answer hit, the same automaton.
+TEST(ServeAnswerTableTest, SameRevisionReReadCompilesNothing) {
+  QueryServer server(Fixture());
+  std::unique_ptr<Session> session = server.OpenSession();
+  FormulaPtr f = Q("exists y. R(y) & x <= y & last[1](x)");
+  Result<TrackAutomaton> first = InternalError("unset");
+  Result<TrackAutomaton> again = InternalError("unset");
+  {
+    obs::ScopedEnable tracing(true);
+    obs::TraceSession trace;
+    first = session->Compile(f);
+    EXPECT_GT(CountSpansWithPrefix(trace.root(), "compile."), 0);
+  }
+  const int64_t hits = server.stats().answer_hits;
+  {
+    obs::ScopedEnable tracing(true);
+    obs::TraceSession trace;
+    again = session->Compile(f);
+    EXPECT_EQ(CountSpansWithPrefix(trace.root(), "compile."), 0);
+  }
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->dfa_ref().id(), first->dfa_ref().id());
+  EXPECT_EQ(server.stats().answer_hits, hits + 1);
+  EXPECT_EQ(server.stats().answer_entries, 1);
+}
+
+// A budget refusal is not an answer: it leaves no entry, and the same
+// query without a budget gets what a fresh compile gives.
+TEST(ServeAnswerTableTest, BudgetRefusalLeavesNoEntry) {
+  QueryServer server(Fixture());
+  std::unique_ptr<Session> session = server.OpenSession();
+  // A pattern unique to this test, so the store holds no full result a
+  // budgeted caller could be served.
+  std::string pattern = "(0|1)*11";
+  for (int i = 0; i < 8; ++i) pattern += "(0|1)";
+  FormulaPtr f = Q("R(x) & member(x, '" + pattern + "')");
+  SessionBudget starved;
+  starved.max_product_states = 1;
+  session->set_budget(starved);
+  Result<TrackAutomaton> refused = session->Compile(f);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(server.stats().answer_entries, 0);
+
+  session->set_budget(SessionBudget{});
+  Result<TrackAutomaton> served = session->Compile(f);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(server.stats().answer_entries, 1);
+  Database fresh_db = Fixture();
+  AutomatonStore fresh_store(true);
+  AutomataEvaluator fresh(
+      &fresh_db, std::make_shared<AtomCache>(Alphabet::Binary(), &fresh_store));
+  Result<TrackAutomaton> want = fresh.Compile(f);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(served->dfa_ref().id(),
+            server.atom_cache()->store().Intern(want->dfa()).id());
+  EXPECT_EQ(served->AllTuples(100).value(), want->AllTuples(100).value());
+}
+
+// A session pinned at an older revision keeps hitting its own entry after
+// a commit; once it refreshes, reclamation drops that entry.
+TEST(ServeAnswerTableTest, PinnedSessionHitsItsOwnEntryUntilRefresh) {
+  QueryServer server(Fixture());
+  std::unique_ptr<Session> pinned = server.OpenSession();
+  FormulaPtr f = Q("R(x)");
+  ASSERT_TRUE(pinned->Query(f).ok());
+  // The commit's reclamation keeps the entry: `pinned` still reads it.
+  ASSERT_TRUE(server.CommitDeltas({TupleDelta{"R", {"111"}, true}}).ok());
+  std::unique_ptr<Session> head = server.OpenSession();
+  Result<Relation> now = head->Query(f);
+  ASSERT_TRUE(now.ok());
+  EXPECT_EQ(now->size(), 5u);
+  EXPECT_EQ(server.stats().answer_entries, 2);
+
+  const int64_t hits = server.stats().answer_hits;
+  {
+    obs::ScopedEnable tracing(true);
+    obs::TraceSession trace;
+    Result<Relation> old = pinned->Query(f);
+    ASSERT_TRUE(old.ok());
+    EXPECT_EQ(old->size(), 4u);
+    EXPECT_EQ(CountSpansWithPrefix(trace.root(), "compile."), 0);
+  }
+  EXPECT_EQ(server.stats().answer_hits, hits + 1);
+
+  pinned->Refresh();
+  server.ReclaimDeadSnapshots();
+  EXPECT_EQ(server.stats().answer_entries, 1);
+  Result<Relation> refreshed = pinned->Query(f);
+  ASSERT_TRUE(refreshed.ok());
+  EXPECT_EQ(refreshed->size(), 5u);
+  EXPECT_EQ(server.stats().answer_hits, hits + 2);
 }
 
 TEST(ServeStatsTest, CountersMoveWithTraffic) {
